@@ -199,7 +199,7 @@ def _cmd_intersect(args) -> int:
     n = _need_n(args)
     a = Involution.parse(args.a, n)
     b = Involution.parse(args.b, n)
-    result = intersect(a, b, force=args.force)
+    result = intersect(a, b, force=args.force, max_n=args.max_n)
     outside = args.force and a.length != b.length
     if args.json:
         payload = result.to_json_dict()
@@ -433,6 +433,7 @@ def build_parser() -> _Parser:
     p.add_argument("b")
     p.add_argument("--n", type=int)
     p.add_argument("--force", action="store_true", help="allow unequal cycle counts")
+    p.add_argument("--max-n", type=int, dest="max_n", help="raise the feasibility guard")
 
     p = add("codim", _cmd_codim, "codimension of a comparable pair")
     p.add_argument("upper")

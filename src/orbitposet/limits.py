@@ -1,20 +1,22 @@
 """Feasibility guards for exhaustive scans.
 
 All-pairs scans grow quadratically in the involution count (764 elements at
-n=8 already), single-pass scans stay cheap up to n=10.  Guards can be lifted
+n=8 already), single-pass scans stay cheap up to n=10, and ``intersect``
+enumerates a down-set that reaches tens of thousands of elements at n=12
+(n=14 with seven 2-cycles takes 10-20 s).  Guards can be lifted
 per call (``max_n=...``) or globally through the ``ORBIT_POSET_MAX_N``
 environment variable.
 """
 
 import os
 
-from .errors import TooLarge
+from .errors import ParseError, TooLarge
 
 ENV_MAX_N = "ORBIT_POSET_MAX_N"
 
-HASSE_MAX_N = 10
 ALL_PAIRS_MAX_N = 8
 SINGLE_PASS_MAX_N = 10
+INTERSECT_MAX_N = 12
 
 
 def effective_cap(default_cap: int, override: int | None = None) -> int:
@@ -23,7 +25,10 @@ def effective_cap(default_cap: int, override: int | None = None) -> int:
         return override
     env = os.environ.get(ENV_MAX_N)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ParseError(f"{ENV_MAX_N}={env!r} is not an integer") from None
     return default_cap
 
 

@@ -1,20 +1,24 @@
 """Order-level queries: closures, intersections, codimension, chains, Hasse data.
 
-The closure order is the entrywise rank-matrix order.  Closure intersections
-decompose into the involutions below the entrywise minimum of the two rank
-matrices; the intersection is irreducible exactly when that minimum is itself
-a valid rank matrix.
+The closure order is the entrywise rank-matrix order.  A closure is the set
+of involutions below one rank matrix, and the intersection of two closures
+is the set below the entrywise minimum (meet) of two; the intersection is
+irreducible exactly when that minimum is itself a valid rank matrix.  Both
+sets come from one depth-first search that adds pairs while every window
+count stays within the bound, so their cost follows the size of the answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterator
 
 from .errors import BadRank, NotComparable, RankMismatch, SizeMismatch
-from .involutions import Involution, all_involutions, dimension, sigma_o
-from .limits import HASSE_MAX_N, check_guard
-from .moves import cover, cover_moves
-from .rank_matrices import RankMatrix, is_valid, leq, meet, rank_matrix
+from .involutions import Involution, Pair, all_involutions, dimension, sigma_o
+from .limits import INTERSECT_MAX_N, SINGLE_PASS_MAX_N, check_guard
+from .moves import cover_moves
+from .rank_matrices import RankMatrix, _offset, is_valid, leq, meet, rank_matrix
 
 
 @dataclass(frozen=True)
@@ -50,49 +54,83 @@ class PosetEdge:
     kind: str
 
 
+@lru_cache(maxsize=None)
+def _windows(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """``_windows(n)[a][b]``: offsets into :attr:`RankMatrix.cells` of the
+    windows ``(i, j)`` with ``i <= a`` and ``b <= j``, which hold ``(a, b)``."""
+    return tuple(
+        tuple(
+            tuple(_offset(n, i, j) for i in range(1, a + 1) for j in range(b, n + 1))
+            for b in range(n + 1)
+        )
+        for a in range(n + 1)
+    )
+
+
+def _below_bound(bound: RankMatrix) -> Iterator[tuple[tuple[Pair, ...], tuple[int, ...]]]:
+    """Every involution whose rank matrix lies entrywise below ``bound``.
+
+    Yields ``(pairs, cells)``: the canonical pairs and the rank-matrix cells
+    in the layout of :attr:`RankMatrix.cells`.  A depth-first search adds
+    pairs with increasing first entries; adding ``(a, b)`` raises every window
+    ``(i, j)`` with ``i <= a`` and ``b <= j`` by one.  Counts only grow, so a
+    branch is dropped as soon as one window would pass the bound, and the
+    work follows the size of the output.  Each involution is yielded once, in
+    no promised order.
+    """
+    n = bound.n
+    windows = _windows(n)
+    cap = bound.cells
+    counts = [0] * len(cap)
+    used = [False] * (n + 1)
+    prefix: list[Pair] = []
+
+    def rec(min_first: int) -> Iterator[tuple[tuple[Pair, ...], tuple[int, ...]]]:
+        yield tuple(prefix), tuple(counts)
+        for a in range(min_first, n):
+            if used[a]:
+                continue
+            # (a, b) raises a superset of the windows (a, b + 1) raises, so
+            # once one second entry fails every smaller one fails too.
+            for b in range(n, a, -1):
+                if used[b]:
+                    continue
+                offsets = windows[a][b]
+                if not all(counts[o] < cap[o] for o in offsets):
+                    break
+                for o in offsets:
+                    counts[o] += 1
+                used[a] = used[b] = True
+                prefix.append((a, b))
+                yield from rec(a + 1)
+                prefix.pop()
+                used[a] = used[b] = False
+                for o in offsets:
+                    counts[o] -= 1
+
+    return rec(1)
+
+
 def closure(inv: Involution) -> set[Involution]:
     """Everything below ``inv`` in the closure order, ``inv`` included.
 
-    Computed by descending the cover relation rather than filtering the full
-    enumeration, so it only touches the down-set.
+    Enumerated by :func:`_below_bound` under the rank matrix of ``inv``, so
+    the cost follows the size of the closure.
     """
-    seen = {inv}
-    stack = [inv]
-    while stack:
-        current = stack.pop()
-        for lower in cover(current):
-            if lower not in seen:
-                seen.add(lower)
-                stack.append(lower)
-    return seen
+    return {Involution(inv.n, pairs) for pairs, _ in _below_bound(rank_matrix(inv))}
 
 
-def _below_meet(n: int, bound: RankMatrix) -> list[Involution]:
-    """All involutions whose rank matrix is entrywise below ``bound``."""
-    max_len = bound.entry(1, n) if n > 1 else 0
-    out = []
-    for k in range(max_len + 1):
-        for cand in all_involutions(n, k):
-            if leq(rank_matrix(cand), bound):
-                out.append(cand)
-    return out
-
-
-def _maximal(elements: list[Involution]) -> list[Involution]:
-    mats = {e: rank_matrix(e) for e in elements}
-    return [
-        e
-        for e in elements
-        if not any(other != e and leq(mats[e], mats[other]) for other in elements)
-    ]
-
-
-def intersect(a: Involution, b: Involution, force: bool = False) -> IntersectionResult:
+def intersect(
+    a: Involution, b: Involution, force: bool = False, max_n: int | None = None
+) -> IntersectionResult:
     """Decompose the intersection of the two orbit closures.
 
     Both arguments must have the same ambient rank and, unless ``force`` is
     set, the same cycle count (the decomposition below is stated for equal
-    counts; ``force`` applies the same recipe outside that scope).
+    counts; ``force`` applies the same recipe outside that scope).  The
+    components are the maximal involutions below the meet, kept in one pass
+    over :func:`_below_bound`: a candidate below a kept element is skipped,
+    otherwise it replaces the kept elements below it.
     """
     if a.n != b.n:
         raise SizeMismatch(f"cannot intersect ranks {a.n} and {b.n}")
@@ -100,8 +138,16 @@ def intersect(a: Involution, b: Involution, force: bool = False) -> Intersection
         raise RankMismatch(
             f"cycle counts differ ({a.length} vs {b.length}); pass force to proceed"
         )
+    check_guard(a.n, INTERSECT_MAX_N, max_n)
     bound = meet(rank_matrix(a), rank_matrix(b))
-    components = sorted(_maximal(_below_meet(a.n, bound)))
+    kept: list[tuple[tuple[Pair, ...], RankMatrix]] = []
+    for pairs, cells in _below_bound(bound):
+        candidate = RankMatrix(a.n, cells)
+        if any(leq(candidate, top) for _, top in kept):
+            continue
+        kept = [(p, top) for p, top in kept if not leq(top, candidate)]
+        kept.append((pairs, candidate))
+    components = sorted(Involution(a.n, pairs) for pairs, _ in kept)
     dims = tuple(dimension(c) for c in components)
     codim_value = min(dimension(a), dimension(b)) - max(dims)
     return IntersectionResult(
@@ -138,7 +184,7 @@ def hasse(n: int, k: int | None = None, max_n: int | None = None) -> list[PosetE
     the one-level degenerations.  Ordering is deterministic: upper elements
     in enumeration order, moves in generation order.
     """
-    check_guard(n, HASSE_MAX_N, max_n)
+    check_guard(n, SINGLE_PASS_MAX_N, max_n)
     edges: list[PosetEdge] = []
     for upper in all_involutions(n, k):
         for move in cover_moves(upper):

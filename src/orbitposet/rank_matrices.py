@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le
 
 from .errors import InvalidRankMatrix, OutOfRange, SizeMismatch
 from .involutions import Involution, Pair, canonicalize
@@ -43,7 +44,7 @@ class RankMatrix:
             raise SizeMismatch(
                 f"expected {_tri_len(self.n)} cells for n={self.n}, got {len(self.cells)}"
             )
-        if any(v < 0 for v in self.cells):
+        if self.cells and min(self.cells) < 0:
             raise OutOfRange("rank matrix entries must be nonnegative")
 
     def entry(self, i: int, j: int) -> int:
@@ -57,14 +58,23 @@ class RankMatrix:
 
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> "RankMatrix":
-        """Build from a dense square array; the lower triangle must be zero."""
-        n = len(rows)
-        if n < 1 or any(len(r) != n for r in rows):
+        """Build from a dense square list of lists of integers.
+
+        Raises SizeMismatch unless ``rows`` is a non-empty square list of
+        lists, and InvalidRankMatrix for a cell that is not an ``int`` (bools
+        included) or a nonzero cell on or below the diagonal.
+        """
+        if not isinstance(rows, list) or not rows or any(
+            not isinstance(r, list) or len(r) != len(rows) for r in rows
+        ):
             raise SizeMismatch("expected a square array")
+        n = len(rows)
         cells = []
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 v = rows[i - 1][j - 1]
+                if type(v) is not int:  # bool is an int subclass, and is refused
+                    raise InvalidRankMatrix(f"entry ({i},{j}) is not an integer: {v!r}")
                 if i >= j:
                     if v != 0:
                         raise InvalidRankMatrix(
@@ -145,7 +155,7 @@ def leq(a: Involution | RankMatrix, b: Involution | RankMatrix) -> bool:
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.n != mb.n:
         raise SizeMismatch(f"cannot compare ranks {ma.n} and {mb.n}")
-    return all(x <= y for x, y in zip(ma.cells, mb.cells))
+    return all(map(le, ma.cells, mb.cells))
 
 
 def meet(a: Involution | RankMatrix, b: Involution | RankMatrix) -> RankMatrix:

@@ -108,6 +108,10 @@ def test_intersect(capsys):
     assert code == 1 and "error:" in err
     payload = run_json(capsys, "intersect", "(1,2)(3,4)", "(1,2)", "--n", "4", "--force")
     assert payload["note"] == "outside theorem scope"
+    code, _, err = run(capsys, "intersect", "(1,2)", "(2,3)", "--n", "13")
+    assert code == 1 and "guard" in err
+    payload = run_json(capsys, "intersect", "(1,2)", "(2,3)", "--n", "13", "--max-n", "13")
+    assert [c["involution"] for c in payload["components"]] == ["(1,3)"]
 
 
 def test_codim_depth(capsys):
@@ -185,6 +189,52 @@ def test_verify(capsys):
     assert payload["passed"] is True
     code, _, err = run(capsys, "verify")
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_verify_with_no_checks_fails(capsys, n):
+    code, out, _ = run(capsys, "verify", "--suite", "counts", "--n", n)
+    assert code == 2 and out.startswith("suite counts: FAIL (0 checks")
+    code, out, _ = run(capsys, "verify", "--suite", "counts", "--n", n, "--json")
+    assert code == 2
+    payload = json.loads(out)
+    check_schema("verify", payload)
+    assert payload["passed"] is False
+
+
+def one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["valid", "recover"])
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        "5",
+        '"[[0,1],[0,0]]"',
+        "[]",
+        "[[0,1]]",
+        "[[0,1],[0]]",
+        "[0,0]",
+        '{"0": [0]}',
+        '[[0,"a"],[0,0]]',
+        "[[0,true],[0,0]]",
+        "[[0,1.0],[0,0]]",
+        "[[0,1],[null,0]]",
+    ],
+)
+def test_malformed_matrices_exit_one(capsys, command, matrix):
+    code, out, err = run(capsys, command, matrix)
+    assert code == 1 and out == ""
+    assert one_error_line(err), err
+
+
+def test_non_integer_guard_environment_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("ORBIT_POSET_MAX_N", "abc")
+    code, out, err = run(capsys, "hasse", "--n", "4")
+    assert code == 1 and out == ""
+    assert one_error_line(err) and "ORBIT_POSET_MAX_N" in err
 
 
 def test_stdin_batch(capsys, monkeypatch):

@@ -88,6 +88,15 @@ def test_every_suite_passes_quickly_at_small_rank():
         assert report.suite == name
 
 
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_a_run_with_no_checks_does_not_pass(n_max):
+    report = verify_suite("counts", n_max=n_max)
+    assert report.checks_run == 0 and not report.failures
+    assert not report.passed
+    assert report.to_json_dict()["passed"] is False
+    assert any("no checks ran" in note for note in report.notes)
+
+
 def test_report_json_shape():
     report = verify_suite("counts", n_max=5)
     d = report.to_json_dict()

@@ -1,5 +1,8 @@
 """Closures, intersections, codimension, depth, and Hasse extraction."""
 
+import itertools
+import random
+
 import pytest
 
 from orbitposet import (
@@ -17,7 +20,9 @@ from orbitposet import (
     hasse_dot,
     intersect,
     leq,
+    meet,
     rank_matrix,
+    sigma_T,
     sigma_o,
 )
 from orbitposet.errors import TooLarge
@@ -35,7 +40,7 @@ def test_closure_examples():
 
 
 def test_closure_equals_enumeration_filter():
-    for n in range(1, 7):
+    for n in range(1, 8):
         els = list(all_involutions(n))
         mats = {e: rank_matrix(e) for e in els}
         for e in els:
@@ -79,8 +84,6 @@ def test_intersect_preconditions():
 
 
 def test_intersect_component_invariants():
-    import itertools
-
     for n in range(1, 6):
         for k in range(n // 2 + 1):
             els = list(all_involutions(n, k))
@@ -91,6 +94,71 @@ def test_intersect_component_invariants():
                     assert rank_matrix(result.components[0]) == result.meet
                 for comp in result.components:
                     assert leq(comp, a) and leq(comp, b)
+
+
+class BruteMaximal:
+    """Maximal involutions below a meet, from all_involutions and leq alone."""
+
+    def __init__(self, n):
+        self.els = all_involutions(n)
+        self.mats = {x: rank_matrix(x) for x in self.els}
+        self.strictly_above = {
+            x: {y for y in self.els if y != x and leq(self.mats[x], self.mats[y])}
+            for x in self.els
+        }
+
+    def __call__(self, a, b):
+        bound = meet(a, b)
+        down = {x for x in self.els if leq(self.mats[x], bound)}
+        return sorted(x for x in down if self.strictly_above[x].isdisjoint(down))
+
+
+def test_intersect_equals_brute_force_exhaustively_to_n6():
+    for n in range(1, 7):
+        brute = BruteMaximal(n)
+        for a, b in itertools.combinations_with_replacement(brute.els, 2):
+            assert list(intersect(a, b, force=True).components) == brute(a, b), (a, b)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_intersect_equals_brute_force_on_random_pairs(n):
+    brute = BruteMaximal(n)
+    draw = random.Random(f"intersect-n{n}")
+    for _ in range(600):
+        a, b = draw.choice(brute.els), draw.choice(brute.els)
+        assert list(intersect(a, b, force=True).components) == brute(a, b), (a, b)
+
+
+def test_intersect_maximal_images_n12():
+    from orbitposet.tableaux import TwoColumnTableau
+
+    a = sigma_T(TwoColumnTableau.parse("1,2,4,6,8,9|3,5,7,10,11,12"))
+    b = sigma_T(TwoColumnTableau.parse("1,3,4,5,8,11|2,6,7,9,10,12"))
+    result = intersect(a, b)
+    assert result.components
+    for comp in result.components:
+        assert leq(comp, a) and leq(comp, b)
+    for x, y in itertools.permutations(result.components, 2):
+        assert not leq(x, y)
+    assert result.irreducible == (len(result.components) == 1)
+
+
+def test_intersect_guard():
+    with pytest.raises(TooLarge):
+        intersect(inv("(1,2)", 13), inv("(2,3)", 13))
+    result = intersect(inv("(1,2)", 13), inv("(2,3)", 13), max_n=13)
+    assert result.components == (inv("(1,3)", 13),)
+
+
+def test_guard_rejects_a_non_integer_environment_value(monkeypatch):
+    from orbitposet import OrbitPosetError
+    from orbitposet.limits import ENV_MAX_N
+
+    monkeypatch.setenv(ENV_MAX_N, "abc")
+    with pytest.raises(OrbitPosetError, match="not an integer"):
+        hasse(4)
+    with pytest.raises(OrbitPosetError, match="not an integer"):
+        intersect(inv("(1,2)", 4), inv("(3,4)", 4))
 
 
 def test_codim_examples():
