@@ -31,8 +31,6 @@ from .errors import (
 )
 from .involutions import (
     Involution,
-    Projection,
-    UpperMatrix01,
     all_involutions,
     canonicalize,
     delete_pair,
@@ -41,7 +39,6 @@ from .involutions import (
     project,
     q_values,
     sigma_o,
-    strict_upper_matrix,
 )
 from .moves import (
     MoveOutcome,

@@ -26,7 +26,7 @@ class ParseError(OrbitPosetError):
 
 
 class BadWindow(OrbitPosetError):
-    """Projection window bounds are not 1 <= i < j <= n."""
+    """A window passed to ``project`` is not 1 <= i < j <= n."""
 
 
 class IndexOutOfRange(OrbitPosetError):

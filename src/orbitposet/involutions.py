@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .errors import (
     BadRank,
@@ -168,56 +168,17 @@ def dimension(inv: Involution) -> int:
     return k * inv.n - sum(b - a for a, b in inv.pairs) - sum(qs)
 
 
-@dataclass(frozen=True)
-class UpperMatrix01:
-    """Strictly upper-triangular 0/1 partial permutation matrix.
-
-    Rows of ones never coincide with columns of ones, which is exactly the
-    square-zero condition; construction from an involution guarantees it.
-    """
-
-    n: int
-    ones: frozenset[Pair]
-
-    def __post_init__(self) -> None:
-        rows = [r for r, _ in self.ones]
-        cols = [c for _, c in self.ones]
-        if any(not 1 <= r < c <= self.n for r, c in self.ones):
-            raise OutOfRange("matrix positions must satisfy 1 <= row < col <= n")
-        if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-            raise DuplicateEntry("more than one entry in a row or column")
-        if set(rows) & set(cols):
-            raise DuplicateEntry("row and column indices overlap; square is not zero")
-
-    def to_lists(self) -> list[list[int]]:
-        out = [[0] * self.n for _ in range(self.n)]
-        for r, c in self.ones:
-            out[r - 1][c - 1] = 1
-        return out
-
-
-def strict_upper_matrix(inv: Involution) -> UpperMatrix01:
-    """The 0/1 matrix with a one at every pair position."""
-    return UpperMatrix01(inv.n, frozenset(inv.pairs))
-
-
-class Projection(NamedTuple):
-    """Restriction of an involution to a window, plus the raw pairs kept."""
-
-    window: Involution
-    kept: tuple[Pair, ...]
-
-
-def project(inv: Involution, i: int, j: int) -> Projection:
+def project(inv: Involution, i: int, j: int) -> Involution:
     """Keep the pairs contained in ``[i, j]``; re-index the window to 1-based.
 
     The number of kept pairs equals the rank-matrix entry ``(i, j)``.
     """
     if not 1 <= i < j <= inv.n:
         raise BadWindow(f"window ({i},{j}) must satisfy 1 <= i < j <= {inv.n}")
-    kept = tuple((a, b) for a, b in inv.pairs if i <= a and b <= j)
-    shifted = tuple((a - i + 1, b - i + 1) for a, b in kept)
-    return Projection(Involution(j - i + 1, shifted), kept)
+    shifted = tuple(
+        (a - i + 1, b - i + 1) for a, b in inv.pairs if i <= a and b <= j
+    )
+    return Involution(j - i + 1, shifted)
 
 
 def window_support(inv: Involution, i: int, j: int) -> frozenset[int]:

@@ -9,8 +9,9 @@ inverse ``cross_up``), and exchanging the first entries of two nested pairs
 up-moves strictly bigger ones.
 
 ``descendants``/``ancestors`` collect the same-length elements one level
-away; ``cover`` adds single-pair deletions and keeps the maximal results,
-giving the full cover relation of the closure order.
+away.  The closure order is graded by orbit dimension, so ``cover`` is the
+descendants plus the single-pair deletions exactly one dimension down: the
+full cover relation of the closure order.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange
-from .involutions import Involution, Pair, delete_pair, window_support
-from .rank_matrices import leq, rank_matrix
+from .involutions import Involution, Pair, delete_pair, dimension, window_support
 
 KIND_MOVE_DOWN = "move_down"
 KIND_MOVE_UP = "move_up"
@@ -230,48 +230,42 @@ def swap_up(inv: Involution, s: int) -> set[Involution]:
     return {target for _, target in _swap_up_moves(inv, s)}
 
 
+def _outcomes(inv: Involution, single, paired) -> list[MoveOutcome]:
+    """Apply each family at every pair index, in table order.
+
+    ``single`` holds ``(tag, move)`` for one-pair moves returning a target or
+    ``None``; ``paired`` holds ``(tag, family)`` for families listing
+    ``(source, target)`` per anchor.
+    """
+    out: list[MoveOutcome] = []
+    for tag, move in single:
+        for s, pair in enumerate(inv.pairs, 1):
+            target = move(inv, s)
+            if target is not None:
+                out.append(MoveOutcome(tag, (pair,), target))
+    for tag, family in paired:
+        for t in range(1, inv.length + 1):
+            for source, target in family(inv, t):
+                out.append(MoveOutcome(tag, source, target))
+    return out
+
+
 def descendant_moves(inv: Involution) -> list[MoveOutcome]:
     """Every down-move with provenance, in deterministic order."""
-    out: list[MoveOutcome] = []
-    for s in range(1, inv.length + 1):
-        pair = inv.pairs[s - 1]
-        target = move_down(inv, s)
-        if target is not None:
-            out.append(MoveOutcome(KIND_MOVE_DOWN, (pair,), target))
-    for s in range(1, inv.length + 1):
-        pair = inv.pairs[s - 1]
-        target = move_right(inv, s)
-        if target is not None:
-            out.append(MoveOutcome(KIND_MOVE_RIGHT, (pair,), target))
-    for t in range(1, inv.length + 1):
-        for source, target in _cross_down_moves(inv, t):
-            out.append(MoveOutcome(KIND_CROSS_DOWN, source, target))
-    for s in range(1, inv.length + 1):
-        for source, target in _swap_down_moves(inv, s):
-            out.append(MoveOutcome(KIND_SWAP_DOWN, source, target))
-    return out
+    return _outcomes(
+        inv,
+        ((KIND_MOVE_DOWN, move_down), (KIND_MOVE_RIGHT, move_right)),
+        ((KIND_CROSS_DOWN, _cross_down_moves), (KIND_SWAP_DOWN, _swap_down_moves)),
+    )
 
 
 def ancestor_moves(inv: Involution) -> list[MoveOutcome]:
     """Every up-move with provenance, in deterministic order."""
-    out: list[MoveOutcome] = []
-    for s in range(1, inv.length + 1):
-        pair = inv.pairs[s - 1]
-        target = move_up(inv, s)
-        if target is not None:
-            out.append(MoveOutcome(KIND_MOVE_UP, (pair,), target))
-    for s in range(1, inv.length + 1):
-        pair = inv.pairs[s - 1]
-        target = move_left(inv, s)
-        if target is not None:
-            out.append(MoveOutcome(KIND_MOVE_LEFT, (pair,), target))
-    for t in range(1, inv.length + 1):
-        for source, target in _cross_up_moves(inv, t):
-            out.append(MoveOutcome(KIND_CROSS_UP, source, target))
-    for s in range(1, inv.length + 1):
-        for source, target in _swap_up_moves(inv, s):
-            out.append(MoveOutcome(KIND_SWAP_UP, source, target))
-    return out
+    return _outcomes(
+        inv,
+        ((KIND_MOVE_UP, move_up), (KIND_MOVE_LEFT, move_left)),
+        ((KIND_CROSS_UP, _cross_up_moves), (KIND_SWAP_UP, _swap_up_moves)),
+    )
 
 
 def descendants(inv: Involution) -> set[Involution]:
@@ -287,25 +281,19 @@ def ancestors(inv: Involution) -> set[Involution]:
 def cover_moves(inv: Involution) -> list[MoveOutcome]:
     """Cover relation below ``inv`` with provenance.
 
-    Candidates are the down-moves plus all single-pair deletions; only the
-    candidates not strictly below another candidate survive.  Same-length
-    covers carry their move tag, shorter ones the ``delete`` tag.
+    The closure order is graded by orbit dimension, so an element covers
+    exactly what lies one dimension below it.  The down-moves all do; a
+    single-pair deletion does when its dimension is exactly one below.
+    Same-length covers carry their move tag, shorter ones the ``delete``
+    tag, deletions in pair order.
     """
-    cands = list(descendant_moves(inv))
-    for s in range(1, inv.length + 1):
-        pair = inv.pairs[s - 1]
-        cands.append(MoveOutcome(KIND_DELETE, (pair,), delete_pair(inv, s)))
-    mats = {m.target: rank_matrix(m.target) for m in cands}
-    targets = list(mats)
-    keep = []
-    for m in cands:
-        dominated = any(
-            other != m.target and leq(mats[m.target], mats[other])
-            for other in targets
-        )
-        if not dominated:
-            keep.append(m)
-    return keep
+    out = descendant_moves(inv)
+    level = dimension(inv) - 1
+    for s, pair in enumerate(inv.pairs, 1):
+        target = delete_pair(inv, s)
+        if dimension(target) == level:
+            out.append(MoveOutcome(KIND_DELETE, (pair,), target))
+    return out
 
 
 def cover(inv: Involution) -> set[Involution]:

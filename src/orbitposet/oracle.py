@@ -30,17 +30,27 @@ from .involutions import (
 )
 from .limits import ALL_PAIRS_MAX_N, SINGLE_PASS_MAX_N, check_guard
 from .moves import (
-    _cross_down_moves,
-    _cross_up_moves,
-    _swap_down_moves,
-    _swap_up_moves,
+    KIND_CROSS_DOWN,
+    KIND_CROSS_UP,
+    KIND_MOVE_DOWN,
+    KIND_MOVE_LEFT,
+    KIND_MOVE_RIGHT,
+    KIND_MOVE_UP,
+    KIND_SWAP_DOWN,
+    KIND_SWAP_UP,
+    ancestor_moves,
     ancestors,
     cover,
+    cross_down,
+    cross_up,
+    descendant_moves,
     descendants,
     move_down,
     move_left,
     move_right,
     move_up,
+    swap_down,
+    swap_up,
 )
 from .poset import closure, depth, intersect
 from .rank_matrices import RankMatrix, from_rank_matrix, is_valid, leq, meet, rank_matrix
@@ -268,7 +278,7 @@ def _suite_rank(rec: _Recorder, n_max: int, k_max: int | None) -> None:
             for i in range(1, n):
                 for j in range(i + 1, n + 1):
                     rec.equal(
-                        project(e, i, j).window.length,
+                        project(e, i, j).length,
                         r.entry(i, j),
                         "window law",
                         f"n={n} sigma={e} window=({i},{j})",
@@ -421,6 +431,25 @@ def _suite_delete(rec: _Recorder, n_max: int, k_max: int | None) -> None:
                 rec.check(ok, "one-pair deletion rank delta", f"n={n} sigma={e} s={s}", True, False)
 
 
+# Each tag's inverse law: its claim, the inverse move, and which new pair of
+# the target anchors the inverse (the smaller for move/swap, the larger for
+# cross).
+_INVERSES = {
+    KIND_MOVE_DOWN: ("vertical moves invert", move_up, min),
+    KIND_MOVE_UP: ("vertical moves invert", move_down, min),
+    KIND_MOVE_RIGHT: ("horizontal moves invert", move_left, min),
+    KIND_MOVE_LEFT: ("horizontal moves invert", move_right, min),
+    KIND_CROSS_DOWN: ("uncross inverts", cross_up, max),
+    KIND_CROSS_UP: ("recross inverts", cross_down, max),
+    KIND_SWAP_DOWN: ("nested swap inverts", swap_up, min),
+    KIND_SWAP_UP: ("crossing swap inverts", swap_down, min),
+}
+_FAMILIES = {
+    "down": (KIND_MOVE_DOWN, KIND_MOVE_RIGHT, KIND_CROSS_DOWN, KIND_SWAP_DOWN),
+    "up": (KIND_MOVE_UP, KIND_MOVE_LEFT, KIND_CROSS_UP, KIND_SWAP_UP),
+}
+
+
 def _suite_moves(rec: _Recorder, n_max: int, k_max: int | None) -> None:
     """Inverse laws, direction law, and disjointness of the four families."""
     for n in range(1, n_max + 1):
@@ -428,103 +457,21 @@ def _suite_moves(rec: _Recorder, n_max: int, k_max: int | None) -> None:
             if k_max is not None and e.length > k_max:
                 continue
             mat = rank_matrix(e)
-            for s in range(1, e.length + 1):
-                down = move_down(e, s)
-                if down is not None:
-                    x = e.pairs[s - 1][1]
-                    back = next(
-                        idx + 1 for idx, p in enumerate(down.pairs) if p[1] == x
-                    )
-                    rec.equal(e, move_up(down, back), "vertical moves invert", f"n={n} sigma={e} s={s}")
-                up = move_up(e, s)
-                if up is not None:
-                    x = e.pairs[s - 1][1]
-                    back = next(idx + 1 for idx, p in enumerate(up.pairs) if p[1] == x)
-                    rec.equal(e, move_down(up, back), "vertical moves invert", f"n={n} sigma={e} s={s}")
-                right = move_right(e, s)
-                if right is not None:
-                    i_s = e.pairs[s - 1][0]
-                    back = next(idx + 1 for idx, p in enumerate(right.pairs) if p[0] == i_s)
-                    rec.equal(e, move_left(right, back), "horizontal moves invert", f"n={n} sigma={e} s={s}")
-                left = move_left(e, s)
-                if left is not None:
-                    i_s = e.pairs[s - 1][0]
-                    back = next(idx + 1 for idx, p in enumerate(left.pairs) if p[0] == i_s)
-                    rec.equal(e, move_right(left, back), "horizontal moves invert", f"n={n} sigma={e} s={s}")
-            for t in range(1, e.length + 1):
-                for (p_s, p_t), target in _cross_down_moves(e, t):
-                    moved = (p_s[1], p_t[1])  # pair (j_s, j_t) in the target
-                    back = target.pairs.index(moved) + 1
-                    rec.check(
-                        e in {tgt for _, tgt in _cross_up_moves(target, back)},
-                        "uncross inverts",
-                        f"n={n} sigma={e} t={t}",
-                        True,
-                        False,
-                    )
-                for (p_s, p_t), target in _cross_up_moves(e, t):
-                    moved = (p_s[1], p_t[1])
-                    back = target.pairs.index(moved) + 1
-                    rec.check(
-                        e in {tgt for _, tgt in _cross_down_moves(target, back)},
-                        "recross inverts",
-                        f"n={n} sigma={e} t={t}",
-                        True,
-                        False,
-                    )
-            for s in range(1, e.length + 1):
-                for (p_s, p_t), target in _swap_down_moves(e, s):
-                    moved = (p_s[0], p_t[1])  # pair (i_s, j_t) in the target
-                    back = target.pairs.index(moved) + 1
-                    rec.check(
-                        e in {tgt for _, tgt in _swap_up_moves(target, back)},
-                        "nested swap inverts",
-                        f"n={n} sigma={e} s={s}",
-                        True,
-                        False,
-                    )
-                for (p_s, p_t), target in _swap_up_moves(e, s):
-                    moved = (p_s[0], p_t[1])
-                    back = target.pairs.index(moved) + 1
-                    rec.check(
-                        e in {tgt for _, tgt in _swap_down_moves(target, back)},
-                        "crossing swap inverts",
-                        f"n={n} sigma={e} s={s}",
-                        True,
-                        False,
-                    )
-            down_sets = {
-                "move_down": {move_down(e, s) for s in range(1, e.length + 1)} - {None},
-                "move_right": {move_right(e, s) for s in range(1, e.length + 1)} - {None},
-                "cross_down": {
-                    tgt for t in range(1, e.length + 1) for _, tgt in _cross_down_moves(e, t)
-                },
-                "swap_down": {
-                    tgt for s in range(1, e.length + 1) for _, tgt in _swap_down_moves(e, s)
-                },
-            }
-            up_sets = {
-                "move_up": {move_up(e, s) for s in range(1, e.length + 1)} - {None},
-                "move_left": {move_left(e, s) for s in range(1, e.length + 1)} - {None},
-                "cross_up": {
-                    tgt for t in range(1, e.length + 1) for _, tgt in _cross_up_moves(e, t)
-                },
-                "swap_up": {
-                    tgt for s in range(1, e.length + 1) for _, tgt in _swap_up_moves(e, s)
-                },
-            }
-            for family, members in down_sets.items():
-                for target in members:
-                    strictly_below = leq(rank_matrix(target), mat) and target != e
-                    rec.check(strictly_below, "down-moves go strictly down", f"n={n} sigma={e} family={family} target={target}", True, False)
-            for family, members in up_sets.items():
-                for target in members:
-                    strictly_above = leq(mat, rank_matrix(target)) and target != e
-                    rec.check(strictly_above, "up-moves go strictly up", f"n={n} sigma={e} family={family} target={target}", True, False)
-            for (fam_a, set_a), (fam_b, set_b) in itertools.combinations(down_sets.items(), 2):
-                rec.equal(set(), set_a & set_b, f"down families disjoint ({fam_a}/{fam_b})", f"n={n} sigma={e}")
-            for (fam_a, set_a), (fam_b, set_b) in itertools.combinations(up_sets.items(), 2):
-                rec.equal(set(), set_a & set_b, f"up families disjoint ({fam_a}/{fam_b})", f"n={n} sigma={e}")
+            for way, outcomes in (("down", descendant_moves(e)), ("up", ancestor_moves(e))):
+                sets: dict[str, set[Involution]] = {kind: set() for kind in _FAMILIES[way]}
+                for m in outcomes:
+                    sets[m.kind].add(m.target)
+                    claim, inverse, pick = _INVERSES[m.kind]
+                    anchor = pick(set(m.target.pairs) - set(e.pairs))
+                    got = inverse(m.target, m.target.pairs.index(anchor) + 1)
+                    ok = e in got if isinstance(got, set) else e == got
+                    rec.check(ok, claim, f"n={n} sigma={e} {m.kind} at {m.source}", e, got)
+                for family, members in sets.items():
+                    for target in members:
+                        lo, hi = (rank_matrix(target), mat) if way == "down" else (mat, rank_matrix(target))
+                        rec.check(leq(lo, hi) and target != e, f"{way}-moves go strictly {way}", f"n={n} sigma={e} family={family} target={target}", True, False)
+                for (fam_a, set_a), (fam_b, set_b) in itertools.combinations(sets.items(), 2):
+                    rec.equal(set(), set_a & set_b, f"{way} families disjoint ({fam_a}/{fam_b})", f"n={n} sigma={e}")
 
 
 def _suite_descendants(rec: _Recorder, n_max: int, k_max: int | None) -> None:
@@ -548,7 +495,7 @@ def _suite_descendants(rec: _Recorder, n_max: int, k_max: int | None) -> None:
 
 
 def _suite_cover(rec: _Recorder, n_max: int, k_max: int | None) -> None:
-    """Candidate-based cover equals the all-pairs cover; covers drop one level."""
+    """The graded cover equals the all-pairs cover; covers drop one level."""
     for n in range(1, n_max + 1):
         truth = brute_covers(n)
         for e in all_involutions(n):

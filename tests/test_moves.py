@@ -8,6 +8,7 @@ from orbitposet import (
     all_involutions,
     ancestors,
     brute_covers,
+    closure,
     cover,
     cover_moves,
     cross_down,
@@ -20,6 +21,7 @@ from orbitposet import (
     move_left,
     move_right,
     move_up,
+    rank_matrix,
     sigma_o,
     swap_down,
     swap_up,
@@ -252,3 +254,30 @@ def test_cover_dimension_drop():
         for e in all_involutions(n):
             for lower in cover(e):
                 assert dimension(e) - dimension(lower) == 1
+
+
+def test_cover_is_the_maximal_part_of_the_closure():
+    """An order-only route to the covers, independent of the grading."""
+    for n in range(1, 9):
+        for e in all_involutions(n):
+            # An element strictly above x has a strictly larger rank-matrix
+            # total, so in descending totals every maximal element above x
+            # is kept before x is reached.
+            below = sorted(closure(e) - {e}, key=lambda x: -sum(rank_matrix(x).cells))
+            maximal: list[Involution] = []
+            for x in below:
+                if not any(leq(x, y) for y in maximal):
+                    maximal.append(x)
+            assert cover(e) == set(maximal), e
+
+
+def test_cover_moves_are_descendants_then_deletions():
+    for n in range(1, 9):
+        for e in all_involutions(n):
+            moves = cover_moves(e)
+            head = descendant_moves(e)
+            assert moves[: len(head)] == head
+            tail = moves[len(head):]
+            assert all(m.kind == "delete" for m in tail)
+            slots = [e.pairs.index(m.source[0]) for m in tail]
+            assert slots == sorted(slots)

@@ -1,6 +1,11 @@
 """The verification layer itself: counting oracles, brute covers, suites."""
 
+import ast
+from pathlib import Path
+
 import pytest
+
+import orbitposet.oracle
 
 from orbitposet import (
     Involution,
@@ -116,3 +121,22 @@ def test_experiments_suite_reports_witness_free_pair():
     report = verify_suite("experiments", n_max=6)
     assert report.passed
     assert any("witness-free" in note for note in report.notes)
+
+
+def test_moves_suite_check_count_is_pinned():
+    report = verify_suite("moves")
+    assert report.passed
+    assert report.checks_run == 7668
+
+
+def test_oracle_imports_no_private_names():
+    tree = ast.parse(Path(orbitposet.oracle.__file__).read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "orbitposet")
+        for alias in node.names
+    ]
+    assert imported
+    assert [name for name in imported if name.startswith("_")] == []
