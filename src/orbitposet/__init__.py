@@ -98,7 +98,6 @@ from .rs import (
 from .tableaux import (
     ColumnPairArray,
     TwoColumnTableau,
-    all_tableaux,
     change,
     change_candidates_high,
     change_candidates_low,

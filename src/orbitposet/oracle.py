@@ -173,29 +173,42 @@ def _ks(n: int, k_max: int | None) -> range:
     return range(top + 1)
 
 
+def _within(n: int, k_max: int | None) -> list[Involution]:
+    """The involutions of rank n with at most k_max pairs, in stable order."""
+    return [e for e in all_involutions(n) if k_max is None or e.length <= k_max]
+
+
 # ---------------------------------------------------------------------------
 # All-pairs ground truth
 # ---------------------------------------------------------------------------
+
+def _strictly_below(
+    els: tuple[Involution, ...]
+) -> dict[Involution, frozenset[Involution]]:
+    """What lies strictly below each element of ``els``, by all-pairs ``leq``."""
+    mats = {e: rank_matrix(e) for e in els}
+    return {
+        x: frozenset(y for y in els if y != x and leq(mats[y], mats[x])) for x in els
+    }
+
+
+def _covers(
+    below: dict[Involution, frozenset[Involution]]
+) -> dict[Involution, set[Involution]]:
+    """Covers read off a down-closed table: what lies below x and below
+    nothing else that lies below x."""
+    return {
+        x: set(members).difference(*(below[z] for z in members))
+        for x, members in below.items()
+    }
+
 
 def brute_covers(
     n: int, max_n: int | None = None
 ) -> dict[Involution, set[Involution]]:
     """Cover relation computed the slow way: all-pairs order comparisons only."""
     check_guard(n, ALL_PAIRS_MAX_N, max_n)
-    els = all_involutions(n)
-    mats = {e: rank_matrix(e) for e in els}
-    below: dict[Involution, list[Involution]] = {}
-    for x in els:
-        below[x] = [y for y in els if y != x and leq(mats[y], mats[x])]
-    covers: dict[Involution, set[Involution]] = {}
-    for x in els:
-        members = below[x]
-        covers[x] = {
-            y
-            for y in members
-            if not any(z != y and leq(mats[y], mats[z]) for z in members)
-        }
-    return covers
+    return _covers(_strictly_below(all_involutions(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +265,7 @@ def _suite_dimension(rec: _Recorder, n_max: int, k_max: int | None) -> None:
                     dimension(e),
                 )
     # the minimal-orbit dimension formula is cheap enough to push further
-    for n in range(n_max + 1, 13):
+    for n in range(max(n_max, 0) + 1, 13):
         for k in _ks(n, k_max):
             rec.equal(
                 k * (k + 1) // 2,
@@ -265,9 +278,7 @@ def _suite_dimension(rec: _Recorder, n_max: int, k_max: int | None) -> None:
 def _suite_rank(rec: _Recorder, n_max: int, k_max: int | None) -> None:
     """Rank-matrix recovery, validity of images, window law, soundness."""
     for n in range(1, n_max + 1):
-        for e in all_involutions(n):
-            if k_max is not None and e.length > k_max:
-                continue
+        for e in _within(n, k_max):
             r = rank_matrix(e)
             rec.equal(e, from_rank_matrix(r), "recovery roundtrip", f"n={n} sigma={e}")
             rec.check(is_valid(r), "images are valid", f"n={n} sigma={e}", True, False)
@@ -288,7 +299,7 @@ def _suite_rank(rec: _Recorder, n_max: int, k_max: int | None) -> None:
         valid = {r for r in _step_matrices(n) if is_valid(r)}
         rec.equal(images, valid, "validity characterises exactly the images", f"n={n}")
     rng = random.Random(20240216)
-    for n in range(n_max + 1, 13):
+    for n in range(max(n_max, 0) + 1, 13):
         for _ in range(40):
             e = _random_involution(rng, n)
             rec.equal(e, from_rank_matrix(rank_matrix(e)), "recovery roundtrip (spot)", f"n={n} sigma={e}")
@@ -415,9 +426,7 @@ def _triangle_criterion(lower: Involution, upper: Involution) -> bool:
 def _suite_delete(rec: _Recorder, n_max: int, k_max: int | None) -> None:
     """Deleting one pair lowers exactly the window counts that contained it."""
     for n in range(1, n_max + 1):
-        for e in all_involutions(n):
-            if k_max is not None and e.length > k_max:
-                continue
+        for e in _within(n, k_max):
             r = rank_matrix(e)
             for s in range(1, e.length + 1):
                 i_s, j_s = e.pairs[s - 1]
@@ -453,9 +462,7 @@ _FAMILIES = {
 def _suite_moves(rec: _Recorder, n_max: int, k_max: int | None) -> None:
     """Inverse laws, direction law, and disjointness of the four families."""
     for n in range(1, n_max + 1):
-        for e in all_involutions(n):
-            if k_max is not None and e.length > k_max:
-                continue
+        for e in _within(n, k_max):
             mat = rank_matrix(e)
             for way, outcomes in (("down", descendant_moves(e)), ("up", ancestor_moves(e))):
                 sets: dict[str, set[Involution]] = {kind: set() for kind in _FAMILIES[way]}
@@ -478,29 +485,20 @@ def _suite_descendants(rec: _Recorder, n_max: int, k_max: int | None) -> None:
     """Move-generated descendants equal both order-theoretic descriptions."""
     for n in range(1, n_max + 1):
         for k in _ks(n, k_max):
-            els = list(all_involutions(n, k))
-            mats = {e: rank_matrix(e) for e in els}
-            dims = {e: dimension(e) for e in els}
-            for e in els:
-                below = [x for x in els if x != e and leq(mats[x], mats[e])]
-                by_cover = {
-                    x
-                    for x in below
-                    if not any(y != x and leq(mats[x], mats[y]) for y in below)
-                }
-                by_dim = {x for x in below if dims[e] - dims[x] == 1}
+            below = _strictly_below(all_involutions(n, k))
+            covers = _covers(below)
+            for e, members in below.items():
+                by_dim = {x for x in members if dimension(e) - dimension(x) == 1}
                 moved = descendants(e)
-                rec.equal(by_cover, moved, "descendants are the same-length covers", f"n={n} sigma={e}")
+                rec.equal(covers[e], moved, "descendants are the same-length covers", f"n={n} sigma={e}")
                 rec.equal(by_dim, moved, "descendants are the dimension-drop-one set", f"n={n} sigma={e}")
 
 
 def _suite_cover(rec: _Recorder, n_max: int, k_max: int | None) -> None:
     """The graded cover equals the all-pairs cover; covers drop one level."""
     for n in range(1, n_max + 1):
-        truth = brute_covers(n)
-        for e in all_involutions(n):
-            if k_max is not None and e.length > k_max:
-                continue
+        truth = _covers(_strictly_below(all_involutions(n)))
+        for e in _within(n, k_max):
             rec.equal(truth[e], cover(e), "cover matches all-pairs scan", f"n={n} sigma={e}")
             for lower in truth[e]:
                 rec.equal(1, dimension(e) - dimension(lower), "covers drop dimension by one", f"n={n} sigma={e} lower={lower}")
@@ -510,34 +508,27 @@ def _suite_depth(rec: _Recorder, n_max: int, k_max: int | None) -> None:
     """All cover chains between comparable elements have the same walked
     length, and it equals the dimension difference."""
     for n in range(1, n_max + 1):
-        els = list(all_involutions(n))
-        mats = {e: rank_matrix(e) for e in els}
-        truth = brute_covers(n)
-        strictly_below = {
-            x: {y for y in els if y != x and leq(mats[y], mats[x])} for x in els
-        }
-        for target in els:
-            memo: dict[Involution, tuple[int, int]] = {}
+        below = _strictly_below(all_involutions(n))
+        covers = _covers(below)
+        # chains[target][x]: (shortest, longest) cover chain walked from x down to target
+        chains: dict[Involution, dict[Involution, tuple[int, int]]] = {}
 
-            def walk(x: Involution) -> tuple[int, int]:
-                if x in memo:
-                    return memo[x]
-                lows, highs = [], []
-                for c in truth[x]:
-                    if c == target:
-                        lows.append(1)
-                        highs.append(1)
-                    elif target in strictly_below[c]:
-                        lo, hi = walk(c)
-                        lows.append(lo + 1)
-                        highs.append(hi + 1)
-                memo[x] = (min(lows), max(highs))
-                return memo[x]
+        def walk(x: Involution, target: Involution) -> tuple[int, int]:
+            memo = chains.setdefault(target, {})
+            if x not in memo:
+                rest = [
+                    (0, 0) if c == target else walk(c, target)
+                    for c in covers[x]
+                    if c == target or target in below[c]
+                ]
+                memo[x] = (1 + min(lo for lo, _ in rest), 1 + max(hi for _, hi in rest))
+            return memo[x]
 
-            for x in els:
-                if target not in strictly_below[x]:
+        for target in below:
+            for x, members in below.items():
+                if target not in members:
                     continue
-                lo, hi = walk(x)
+                lo, hi = walk(x, target)
                 gap = dimension(x) - dimension(target)
                 rec.check(
                     lo == hi == gap,
@@ -546,55 +537,29 @@ def _suite_depth(rec: _Recorder, n_max: int, k_max: int | None) -> None:
                     gap,
                     (lo, hi),
                 )
-        for x in els:
-            if k_max is not None and x.length > k_max:
-                continue
+        for x in _within(n, k_max):
             for k in range(x.length + 1):
                 base = sigma_o(n, k)
                 if x == base:
                     rec.equal(0, depth(x, k), "depth of the minimal element", f"n={n} k={k}")
-                    continue
-                memo2: dict[Involution, int] = {}
-
-                def walk_len(y: Involution) -> int:
-                    if y in memo2:
-                        return memo2[y]
-                    best = None
-                    for c in truth[y]:
-                        if c == base:
-                            length = 1
-                        elif base in strictly_below[c]:
-                            length = walk_len(c) + 1
-                        else:
-                            continue
-                        best = length if best is None else best
-                        # all chains agree by the check above; one suffices
-                        break
-                    memo2[y] = best
-                    return best
-
-                rec.equal(walk_len(x), depth(x, k), "depth equals walked chain length", f"n={n} sigma={x} k={k}")
+                else:
+                    rec.equal(chains[base][x][0], depth(x, k), "depth equals walked chain length", f"n={n} sigma={x} k={k}")
 
 
 def _suite_closure(rec: _Recorder, n_max: int, k_max: int | None) -> None:
     """The rank-bounded search behind ``closure`` equals the enumeration filter."""
     for n in range(1, n_max + 1):
-        els = list(all_involutions(n))
-        mats = {e: rank_matrix(e) for e in els}
-        for e in els:
-            if k_max is not None and e.length > k_max:
-                continue
-            filtered = {x for x in els if leq(mats[x], mats[e])}
-            rec.equal(filtered, closure(e), "closure by rank-bounded search equals filter", f"n={n} sigma={e}")
+        below = _strictly_below(all_involutions(n))
+        for e in _within(n, k_max):
+            rec.equal(below[e] | {e}, closure(e), "closure by rank-bounded search equals filter", f"n={n} sigma={e}")
 
 
 def _suite_reachability(rec: _Recorder, n_max: int, k_max: int | None) -> None:
     """Repeated one-level degenerations reach the whole same-length down-set."""
     for n in range(1, n_max + 1):
         for k in _ks(n, k_max):
-            els = list(all_involutions(n, k))
-            mats = {e: rank_matrix(e) for e in els}
-            for e in els:
+            below = _strictly_below(all_involutions(n, k))
+            for e in below:
                 reached = {e}
                 frontier = [e]
                 while frontier:
@@ -603,8 +568,7 @@ def _suite_reachability(rec: _Recorder, n_max: int, k_max: int | None) -> None:
                         if d not in reached:
                             reached.add(d)
                             frontier.append(d)
-                down_set = {x for x in els if leq(mats[x], mats[e])}
-                rec.equal(down_set, reached, "descendant steps reach the down-set", f"n={n} sigma={e}")
+                rec.equal(below[e] | {e}, reached, "descendant steps reach the down-set", f"n={n} sigma={e}")
 
 
 def _suite_codim(rec: _Recorder, n_max: int, k_max: int | None) -> None:
@@ -851,27 +815,24 @@ def _suite_experiments(rec: _Recorder, n_max: int, k_max: int | None) -> None:
 # Registry and entry points
 # ---------------------------------------------------------------------------
 
-_ALL_PAIRS = "all-pairs"
-_SINGLE = "single"
-
 SUITES: dict[str, tuple] = {
-    "counts": (_suite_counts, 8, _SINGLE),
-    "dimension": (_suite_dimension, 8, _SINGLE),
-    "rank": (_suite_rank, 7, _SINGLE),
-    "order": (_suite_order, 5, _ALL_PAIRS),
-    "delete": (_suite_delete, 7, _SINGLE),
-    "moves": (_suite_moves, 7, _SINGLE),
-    "descendants": (_suite_descendants, 7, _ALL_PAIRS),
-    "cover": (_suite_cover, 6, _ALL_PAIRS),
-    "depth": (_suite_depth, 6, _ALL_PAIRS),
-    "closure": (_suite_closure, 6, _ALL_PAIRS),
-    "reachability": (_suite_reachability, 6, _ALL_PAIRS),
-    "codim": (_suite_codim, 6, _ALL_PAIRS),
-    "ancestors": (_suite_ancestors, 7, _ALL_PAIRS),
-    "tableaux": (_suite_tableaux, 8, _SINGLE),
-    "partners": (_suite_partners, 7, _SINGLE),
-    "rs": (_suite_rs, 7, _ALL_PAIRS),
-    "experiments": (_suite_experiments, 8, _ALL_PAIRS),
+    "counts": (_suite_counts, 8, SINGLE_PASS_MAX_N),
+    "dimension": (_suite_dimension, 8, SINGLE_PASS_MAX_N),
+    "rank": (_suite_rank, 7, SINGLE_PASS_MAX_N),
+    "order": (_suite_order, 5, ALL_PAIRS_MAX_N),
+    "delete": (_suite_delete, 7, SINGLE_PASS_MAX_N),
+    "moves": (_suite_moves, 7, SINGLE_PASS_MAX_N),
+    "descendants": (_suite_descendants, 7, ALL_PAIRS_MAX_N),
+    "cover": (_suite_cover, 6, ALL_PAIRS_MAX_N),
+    "depth": (_suite_depth, 6, ALL_PAIRS_MAX_N),
+    "closure": (_suite_closure, 6, ALL_PAIRS_MAX_N),
+    "reachability": (_suite_reachability, 6, ALL_PAIRS_MAX_N),
+    "codim": (_suite_codim, 6, ALL_PAIRS_MAX_N),
+    "ancestors": (_suite_ancestors, 7, ALL_PAIRS_MAX_N),
+    "tableaux": (_suite_tableaux, 8, SINGLE_PASS_MAX_N),
+    "partners": (_suite_partners, 7, SINGLE_PASS_MAX_N),
+    "rs": (_suite_rs, 7, ALL_PAIRS_MAX_N),
+    "experiments": (_suite_experiments, 8, ALL_PAIRS_MAX_N),
 }
 
 
@@ -888,9 +849,8 @@ def verify_suite(
     """Run one named suite and report; failures list stays empty on success."""
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    fn, default_n, guard_class = SUITES[name]
+    fn, default_n, cap = SUITES[name]
     n = default_n if n_max is None else n_max
-    cap = ALL_PAIRS_MAX_N if guard_class == _ALL_PAIRS else SINGLE_PASS_MAX_N
     check_guard(n, cap, max_n)
     rec = _Recorder()
     start = time.perf_counter()

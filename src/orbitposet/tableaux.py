@@ -269,9 +269,3 @@ def enumerate_tableaux(n: int, k: int) -> Iterator[TwoColumnTableau]:
         if all(c >= 2 * (r + 1) for r, c in enumerate(col2)):
             col1 = tuple(sorted(everything - set(col2)))
             yield TwoColumnTableau(col1, col2)
-
-
-def all_tableaux(n: int) -> Iterator[TwoColumnTableau]:
-    """All two-column tableaux of rank n, by increasing second-column length."""
-    for k in range(n // 2 + 1):
-        yield from enumerate_tableaux(n, k)

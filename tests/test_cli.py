@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from orbitposet.cli import main
+from orbitposet.oracle import suite_names
 
 SCHEMA = json.loads(
     resources.files("orbitposet").joinpath("schemas/cli_output.schema.json").read_text()
@@ -200,6 +201,15 @@ def test_verify_with_no_checks_fails(capsys, n):
     payload = json.loads(out)
     check_schema("verify", payload)
     assert payload["passed"] is False
+
+
+@pytest.mark.parametrize("n", ["0", "-1", "-2"])
+@pytest.mark.parametrize("suite", [None, *suite_names()])
+def test_verify_at_empty_ranges_never_crashes(capsys, suite, n):
+    selector = ["--all"] if suite is None else ["--suite", suite]
+    code, _, err = run(capsys, "verify", *selector, "--n", n)
+    assert code in (0, 2), err
+    assert "Traceback" not in err
 
 
 def one_error_line(err):

@@ -11,10 +11,13 @@ from orbitposet import (
     Involution,
     TooLarge,
     UnknownSuite,
+    all_involutions,
     brute_covers,
     hook_length_count,
     involution_number,
     involution_number_k,
+    leq,
+    rank_matrix,
     suite_names,
     verify_suite,
 )
@@ -53,6 +56,20 @@ def test_brute_covers_n3():
 
 def test_brute_covers_n2():
     assert brute_covers(2)[inv("(1,2)", 2)] == {Involution.identity(2)}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_brute_covers_match_the_literal_definition(n):
+    """y covers-below x when y < x and no other z < x lies above y."""
+    els = all_involutions(n)
+    mats = {e: rank_matrix(e) for e in els}
+    covers = brute_covers(n)
+    for x in els:
+        below = [y for y in els if y != x and leq(mats[y], mats[x])]
+        literal = {
+            y for y in below if not any(z != y and leq(mats[y], mats[z]) for z in below)
+        }
+        assert covers[x] == literal, x
 
 
 def test_brute_covers_guard():
@@ -123,10 +140,21 @@ def test_experiments_suite_reports_witness_free_pair():
     assert any("witness-free" in note for note in report.notes)
 
 
-def test_moves_suite_check_count_is_pinned():
-    report = verify_suite("moves")
+PINNED_CHECKS = {
+    "moves": 7668,
+    "descendants": 702,
+    "cover": 387,
+    "depth": 1836,
+    "closure": 119,
+    "reachability": 119,
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CHECKS)
+def test_suite_check_count_is_pinned(name):
+    report = verify_suite(name)
     assert report.passed
-    assert report.checks_run == 7668
+    assert report.checks_run == PINNED_CHECKS[name]
 
 
 def test_oracle_imports_no_private_names():
