@@ -109,6 +109,20 @@ class Involution:
         )
 
 
+def _trusted(n: int, pairs: tuple[Pair, ...]) -> Involution:
+    """An :class:`Involution` from pairs known to be canonical, unchecked.
+
+    For the library's own searches, whose outputs are canonical by
+    construction; user input goes through the validating constructor.  The
+    fields are set as the dataclass ``__init__`` sets them, so the instance
+    is laid out, and sized, like a checked one.
+    """
+    inv = object.__new__(Involution)
+    object.__setattr__(inv, "n", n)
+    object.__setattr__(inv, "pairs", pairs)
+    return inv
+
+
 def canonicalize(pairs: Iterable[tuple[int, int]], n: int) -> Involution:
     """Build an involution from pairs in any order, any within-pair order.
 
@@ -216,7 +230,7 @@ def enumerate_involutions(n: int, k: int | None = None) -> Iterator[Involution]:
 
     def rec(min_first: int) -> Iterator[Involution]:
         if k is None or len(prefix) == k:
-            yield Involution(n, tuple(prefix))
+            yield _trusted(n, tuple(prefix))
             if k is not None:
                 return
         for i in range(min_first, n + 1):

@@ -5,20 +5,22 @@ of involutions below one rank matrix, and the intersection of two closures
 is the set below the entrywise minimum (meet) of two; the intersection is
 irreducible exactly when that minimum is itself a valid rank matrix.  Both
 sets come from one depth-first search that adds pairs while every window
-count stays within the bound, so their cost follows the size of the answer.
+count stays within the bound.  The counts are one packed integer (see
+:mod:`.rank_matrices`), so adding a pair is one addition of its window mask
+and the bound is checked in one test; masks are built only for the pairs
+the search tries, so the cost follows the size of the answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .errors import BadRank, NotComparable, RankMismatch, SizeMismatch
-from .involutions import Involution, Pair, all_involutions, dimension, sigma_o
+from .involutions import Involution, Pair, _trusted, all_involutions, dimension, sigma_o
 from .limits import INTERSECT_MAX_N, SINGLE_PASS_MAX_N, check_guard
 from .moves import cover_moves
-from .rank_matrices import RankMatrix, _offset, is_valid, leq, meet, rank_matrix
+from .rank_matrices import RankMatrix, _layout, _pair_masks, is_valid, leq, meet, rank_matrix
 
 
 @dataclass(frozen=True)
@@ -54,61 +56,46 @@ class PosetEdge:
     kind: str
 
 
-@lru_cache(maxsize=None)
-def _windows(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """``_windows(n)[a][b]``: offsets into :attr:`RankMatrix.cells` of the
-    windows ``(i, j)`` with ``i <= a`` and ``b <= j``, which hold ``(a, b)``."""
-    return tuple(
-        tuple(
-            tuple(_offset(n, i, j) for i in range(1, a + 1) for j in range(b, n + 1))
-            for b in range(n + 1)
-        )
-        for a in range(n + 1)
-    )
-
-
-def _below_bound(bound: RankMatrix) -> Iterator[tuple[tuple[Pair, ...], tuple[int, ...]]]:
+def _below_bound(bound: RankMatrix) -> Iterator[tuple[tuple[Pair, ...], int]]:
     """Every involution whose rank matrix lies entrywise below ``bound``.
 
-    Yields ``(pairs, cells)``: the canonical pairs and the rank-matrix cells
-    in the layout of :attr:`RankMatrix.cells`.  A depth-first search adds
-    pairs with increasing first entries; adding ``(a, b)`` raises every window
-    ``(i, j)`` with ``i <= a`` and ``b <= j`` by one.  Counts only grow, so a
-    branch is dropped as soon as one window would pass the bound, and the
-    work follows the size of the output.  Each involution is yielded once, in
-    no promised order.
+    Yields ``(pairs, packed)``: the canonical pairs and the packed rank
+    matrix (:attr:`RankMatrix.packed`).  A depth-first search adds pairs with
+    increasing first entries; adding ``(a, b)`` adds its window mask, one to
+    every window ``(i, j)`` with ``i <= a`` and ``b <= j``.  Counts only
+    grow, so a branch is dropped as soon as one window would pass the bound,
+    and the work follows the size of the output.  Each involution is yielded
+    once, in no promised order.  Every cell of ``bound`` must fit the
+    packing, as every meet of rank matrices does.
     """
     n = bound.n
-    windows = _windows(n)
-    cap = bound.cells
-    counts = [0] * len(cap)
+    masks = _pair_masks(n)
+    guard = _layout(n)[1]
+    cap = bound.packed | guard
     used = [False] * (n + 1)
     prefix: list[Pair] = []
 
-    def rec(min_first: int) -> Iterator[tuple[tuple[Pair, ...], tuple[int, ...]]]:
-        yield tuple(prefix), tuple(counts)
+    def rec(min_first: int, counts: int) -> Iterator[tuple[tuple[Pair, ...], int]]:
+        yield tuple(prefix), counts
         for a in range(min_first, n):
             if used[a]:
                 continue
+            row = masks[a]
             # (a, b) raises a superset of the windows (a, b + 1) raises, so
             # once one second entry fails every smaller one fails too.
             for b in range(n, a, -1):
                 if used[b]:
                     continue
-                offsets = windows[a][b]
-                if not all(counts[o] < cap[o] for o in offsets):
+                raised = counts + row[b]
+                if (cap - raised) & guard != guard:
                     break
-                for o in offsets:
-                    counts[o] += 1
                 used[a] = used[b] = True
                 prefix.append((a, b))
-                yield from rec(a + 1)
+                yield from rec(a + 1, raised)
                 prefix.pop()
                 used[a] = used[b] = False
-                for o in offsets:
-                    counts[o] -= 1
 
-    return rec(1)
+    return rec(1, 0)
 
 
 def closure(inv: Involution) -> set[Involution]:
@@ -117,7 +104,7 @@ def closure(inv: Involution) -> set[Involution]:
     Enumerated by :func:`_below_bound` under the rank matrix of ``inv``, so
     the cost follows the size of the closure.
     """
-    return {Involution(inv.n, pairs) for pairs, _ in _below_bound(rank_matrix(inv))}
+    return {_trusted(inv.n, pairs) for pairs, _ in _below_bound(rank_matrix(inv))}
 
 
 def intersect(
@@ -141,13 +128,13 @@ def intersect(
     check_guard(a.n, INTERSECT_MAX_N, max_n)
     bound = meet(rank_matrix(a), rank_matrix(b))
     kept: list[tuple[tuple[Pair, ...], RankMatrix]] = []
-    for pairs, cells in _below_bound(bound):
-        candidate = RankMatrix(a.n, cells)
+    for pairs, packed in _below_bound(bound):
+        candidate = RankMatrix._from_packed(a.n, packed)
         if any(leq(candidate, top) for _, top in kept):
             continue
         kept = [(p, top) for p, top in kept if not leq(top, candidate)]
         kept.append((pairs, candidate))
-    components = sorted(Involution(a.n, pairs) for pairs, _ in kept)
+    components = sorted(_trusted(a.n, pairs) for pairs, _ in kept)
     dims = tuple(dimension(c) for c in components)
     codim_value = min(dimension(a), dimension(b)) - max(dims)
     return IntersectionResult(

@@ -4,6 +4,14 @@ The entry ``(i, j)`` of the rank matrix counts the pairs contained in the
 window ``[i, j]``; everything on or below the diagonal is zero.  Matrices of
 equal rank are compared entrywise, and the entrywise order lifted back to
 involutions is the orbit-closure order.
+
+Besides its cell tuple a matrix carries the same cells packed into one
+integer, a whole number of bytes per cell with the top bit of each cell
+kept clear as a guard bit.  Cells then add and compare all at once:
+``a <= b`` in every cell exactly when ``((b | G) - a) & G == G``, with ``G``
+the guard bits, because no cell's difference borrows past its own guard.
+The packed rank matrix of the single pair ``(a, b)`` is the mask of the
+windows that hold it, so adding a pair to an involution adds its mask.
 """
 
 from __future__ import annotations
@@ -25,13 +33,87 @@ def _offset(n: int, i: int, j: int) -> int:
     return (i - 1) * n - i * (i - 1) // 2 + (j - i - 1)
 
 
+@lru_cache(maxsize=16)
+def _layout(n: int) -> tuple[int, int]:
+    """``(bytes per cell, guard bits)`` of the packed form at rank ``n``.
+
+    A cell holds up to ``n // 2 + 1`` below its guard bit: no window holds
+    more than ``n // 2`` pairs, and a search may overshoot a bound by one
+    before it tests the fit.
+    """
+    size = ((n // 2 + 1).bit_length() + 8) // 8
+    top_bit = (0x80 << 8 * (size - 1)).to_bytes(size, "little")
+    return size, int.from_bytes(top_bit * _tri_len(n), "little")
+
+
+def _pack(n: int, cells: tuple[int, ...]) -> int | None:
+    """Cell ``o`` in byte ``size * o`` onwards; None if a cell reaches a guard bit."""
+    size = _layout(n)[0]
+    if cells and max(cells) >> (8 * size - 1):
+        return None
+    if size == 1:
+        return int.from_bytes(bytes(cells), "little")
+    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in cells), "little")
+
+
+def _unpack(n: int, packed: int) -> tuple[int, ...]:
+    size = _layout(n)[0]
+    raw = packed.to_bytes(_tri_len(n) * size, "little")
+    if size == 1:
+        return tuple(raw)
+    return tuple(int.from_bytes(raw[o : o + size], "little") for o in range(0, len(raw), size))
+
+
+class _MaskRow(dict):
+    """``row[b]``: the packed windows ``(i, j)`` with ``i <= a`` and ``b <= j``.
+
+    That is the packed rank matrix of the single pair ``(a, b)``, filled on
+    first use by the row-run recurrence ``mask(a, b) = run(a, b) + mask(a -
+    1, b)``, where ``run(a, b)`` is cells ``b..n`` of row ``a``.
+    """
+
+    def __init__(self, n: int, a: int, prev: "_MaskRow | None") -> None:
+        super().__init__()
+        self.n, self.a, self.prev = n, a, prev
+
+    def __missing__(self, b: int) -> int:
+        chain = []
+        row: _MaskRow | None = self
+        while row is not None and b not in row:
+            chain.append(row)
+            row = row.prev
+        mask = 0 if row is None else row[b]
+        size = _layout(self.n)[0]
+        run = int.from_bytes((1).to_bytes(size, "little") * (self.n - b + 1), "little")
+        for row in reversed(chain):
+            mask += run << 8 * size * _offset(self.n, row.a, b)
+            row[b] = mask
+        return mask
+
+
+@lru_cache(maxsize=4)
+def _pair_masks(n: int) -> tuple[_MaskRow | None, ...]:
+    """``_pair_masks(n)[a][b]``: packed windows holding the pair ``(a, b)``.
+
+    Masks are filled lazily, so the cost follows the pairs a caller asks
+    about rather than the O(n^4) cells of a full table.
+    """
+    rows: list[_MaskRow | None] = [None]
+    for a in range(1, n + 1):
+        rows.append(_MaskRow(n, a, rows[-1]))
+    return tuple(rows)
+
+
 @dataclass(frozen=True, order=True)
 class RankMatrix:
     """Strictly upper-triangular nonnegative integer matrix.
 
     Only the strict upper triangle is stored; ``entry`` reads 0 on and below
     the diagonal and outside the index range, which keeps boundary cases in
-    the validity clauses uniform.
+    the validity clauses uniform.  ``packed`` holds the same cells as one
+    integer (see the module docstring); it is derived, so equality, hashing
+    and ordering ignore it, and it is None for a matrix with a cell too large
+    for the packing, which no rank matrix of an involution has.
     """
 
     n: int
@@ -46,6 +128,19 @@ class RankMatrix:
             )
         if self.cells and min(self.cells) < 0:
             raise OutOfRange("rank matrix entries must be nonnegative")
+        object.__setattr__(self, "packed", _pack(self.n, self.cells))
+
+    @classmethod
+    def _from_packed(cls, n: int, packed: int) -> "RankMatrix":
+        """Trusted constructor from a packed value at rank ``n``; nothing is checked."""
+        # Search candidates are short-lived, so the fields go straight into
+        # the instance dict, which is faster than three object.__setattr__.
+        m = object.__new__(cls)
+        fields = m.__dict__
+        fields["n"] = n
+        fields["cells"] = _unpack(n, packed)
+        fields["packed"] = packed
+        return m
 
     def entry(self, i: int, j: int) -> int:
         if i < 1 or j > self.n or i >= j:
@@ -151,11 +246,19 @@ def _as_matrix(value: Involution | RankMatrix) -> RankMatrix:
 
 
 def leq(a: Involution | RankMatrix, b: Involution | RankMatrix) -> bool:
-    """Entrywise order: ``a`` below ``b``.  Accepts involutions or matrices."""
+    """Entrywise order: ``a`` below ``b``.  Accepts involutions or matrices.
+
+    One guard-bit test on the packed forms, or a cell-by-cell comparison
+    when either matrix has no packed form.
+    """
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.n != mb.n:
         raise SizeMismatch(f"cannot compare ranks {ma.n} and {mb.n}")
-    return all(map(le, ma.cells, mb.cells))
+    pa, pb = ma.packed, mb.packed
+    if pa is None or pb is None:
+        return all(map(le, ma.cells, mb.cells))
+    guard = _layout(ma.n)[1]
+    return ((pb | guard) - pa) & guard == guard
 
 
 def meet(a: Involution | RankMatrix, b: Involution | RankMatrix) -> RankMatrix:

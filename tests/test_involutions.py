@@ -63,6 +63,19 @@ def test_strict_constructor_requires_canonical_form():
         Involution(5, ((4, 3),))
 
 
+def test_strict_constructor_rejects_duplicates_and_range():
+    with pytest.raises(DuplicateEntry):
+        Involution(4, ((1, 2), (2, 3)))
+    with pytest.raises(DuplicateEntry):
+        Involution(4, ((1, 3), (2, 3)))
+    with pytest.raises(OutOfRange):
+        Involution(3, ((1, 4),))
+    with pytest.raises(OutOfRange):
+        Involution(3, ((0, 2),))
+    with pytest.raises(OutOfRange):
+        Involution(0)
+
+
 def test_parse_is_whitespace_insensitive():
     assert inv(" (3,4) (1,8)\n(6,7)(2,5) ", 8) == inv("(1,8)(2,5)(3,4)(6,7)", 8)
     with pytest.raises(ParseError):
@@ -216,3 +229,31 @@ def test_enumeration_is_sorted_and_complete():
         assert len(set(els)) == len(els)
         by_k = sum(len(all_involutions(n, k)) for k in range(n // 2 + 1))
         assert by_k == len(els)
+
+
+def test_enumerated_involutions_equal_validated_ones():
+    # enumeration skips the constructor's checks; its output must not show it
+    for n in range(1, 8):
+        for e in enumerate_involutions(n):
+            checked = Involution(n, e.pairs)
+            assert type(e) is Involution
+            assert vars(e) == vars(checked)
+            assert e == checked and hash(e) == hash(checked) and str(e) == str(checked)
+
+
+def test_unchecked_involutions_are_laid_out_like_checked_ones():
+    import tracemalloc
+
+    from orbitposet.involutions import _trusted
+
+    pairs = ((1, 4), (2, 3))
+    sizes = []
+    for make in (_trusted, Involution):
+        tracemalloc.start()
+        try:
+            made = [make(5, pairs) for _ in range(1000)]
+            sizes.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert len(made) == 1000
+    assert sizes[0] == sizes[1]

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import tracemalloc
+from operator import le
 
 import pytest
 
@@ -9,6 +11,7 @@ from orbitposet import (
     BadRank,
     Involution,
     NotComparable,
+    RankMatrix,
     RankMismatch,
     SizeMismatch,
     all_involutions,
@@ -26,6 +29,7 @@ from orbitposet import (
     sigma_o,
 )
 from orbitposet.errors import TooLarge
+from orbitposet.poset import _below_bound
 
 
 def inv(text, n):
@@ -241,3 +245,105 @@ def test_hasse_dot_output():
 def test_hasse_deterministic():
     assert hasse(5) == hasse(5)
     assert hasse_dot(4) == hasse_dot(4)
+
+
+def test_closure_cost_follows_its_output():
+    # closure((1,2)) is (1,b) for b = 2..n plus the identity
+    for n in (60, 100):
+        tracemalloc.start()
+        try:
+            got = closure(Involution(n, ((1, 2),)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == {Involution.identity(n)} | {Involution(n, ((1, b),)) for b in range(2, n + 1)}
+        assert peak < 20 * 2**20, peak
+    assert closure(Involution.identity(300)) == {Involution.identity(300)}
+
+
+def _reference_below_bound(bound):
+    """The search before packing: window counts as a list, checked one cell at a time.
+
+    Yields ``(pairs, cells)`` for every involution below ``bound``.
+    """
+    n = bound.n
+    index = {w: o for o, w in enumerate((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))}
+    windows = {
+        (a, b): [index[i, j] for i in range(1, a + 1) for j in range(b, n + 1)]
+        for a, b in itertools.combinations(range(1, n + 1), 2)
+    }
+    cap = bound.cells
+    counts = [0] * len(cap)
+    used = [False] * (n + 1)
+    prefix = []
+
+    def rec(min_first):
+        yield tuple(prefix), tuple(counts)
+        for a in range(min_first, n):
+            if used[a]:
+                continue
+            for b in range(n, a, -1):
+                if used[b]:
+                    continue
+                offsets = windows[a, b]
+                if not all(counts[o] < cap[o] for o in offsets):
+                    break
+                for o in offsets:
+                    counts[o] += 1
+                used[a] = used[b] = True
+                prefix.append((a, b))
+                yield from rec(a + 1)
+                prefix.pop()
+                used[a] = used[b] = False
+                for o in offsets:
+                    counts[o] -= 1
+
+    return rec(1)
+
+
+def _reference_maximal(n, below):
+    kept = []
+    for pairs, cells in below:
+        if any(all(map(le, cells, top)) for _, top in kept):
+            continue
+        kept = [(p, top) for p, top in kept if not all(map(le, top, cells))]
+        kept.append((pairs, cells))
+    return sorted(Involution(n, pairs) for pairs, _ in kept)
+
+
+def _random_involution(draw, n, k):
+    points = draw.sample(range(1, n + 1), 2 * k)
+    return Involution(n, tuple(sorted(tuple(sorted(points[2 * s : 2 * s + 2])) for s in range(k))))
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_search_matches_the_cell_count_reference(n):
+    draw = random.Random(f"packed-search-n{n}")
+    for _ in range(40):
+        k = draw.randint(1, n // 2)
+        a, b = _random_involution(draw, n, k), _random_involution(draw, n, k)
+        members = {pairs for pairs, _ in _reference_below_bound(rank_matrix(a))}
+        assert {m.pairs for m in closure(a)} == members, a
+        result = intersect(a, b)
+        expected = list(_reference_below_bound(result.meet))
+        assert list(result.components) == _reference_maximal(n, expected), (a, b)
+        # same search order, and every packed count unpacks to the reference cells
+        searched = [(p, RankMatrix._from_packed(n, c).cells) for p, c in _below_bound(result.meet)]
+        assert searched == expected, (a, b)
+
+
+def test_search_outputs_equal_validated_involutions():
+    # closure and intersect skip the constructor's checks; their output must not show it
+    draw = random.Random("trusted-outputs")
+    outputs = []
+    for n in range(1, 8):
+        for e in all_involutions(n):
+            outputs.extend(closure(e))
+        for _ in range(20):
+            a, b = draw.choice(all_involutions(n)), draw.choice(all_involutions(n))
+            outputs.extend(intersect(a, b, force=True).components)
+    for m in outputs:
+        checked = Involution(m.n, m.pairs)
+        assert type(m) is Involution
+        assert vars(m) == vars(checked)
+        assert m == checked and hash(m) == hash(checked) and str(m) == str(checked)

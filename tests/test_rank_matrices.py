@@ -1,5 +1,10 @@
 """Rank matrices: displayed values, validity clauses, order, recovery."""
 
+import dataclasses
+import itertools
+import random
+from operator import le
+
 import pytest
 
 from orbitposet import (
@@ -165,3 +170,84 @@ def test_json_dict():
     d = rank_matrix(inv("(1,5)(3,4)", 5)).to_json_dict()
     assert d == {"rank_matrix": R_A_ROWS}
     assert RankMatrix.from_rows(d["rank_matrix"]) == rank_matrix(inv("(1,5)(3,4)", 5))
+
+
+def _tuple_leq(a, b):
+    return all(map(le, a.cells, b.cells))
+
+
+def test_packed_form_round_trips_every_rank_matrix_to_n7():
+    for n in range(1, 8):
+        for e in all_involutions(n):
+            m = rank_matrix(e)
+            assert m.packed is not None
+            back = RankMatrix._from_packed(n, m.packed)
+            assert back == m and back.cells == m.cells and back.packed == m.packed
+
+
+def test_packed_form_is_not_a_field():
+    m = rank_matrix(inv("(1,5)(3,4)", 5))
+    twin = RankMatrix(5, m.cells)
+    object.__setattr__(twin, "packed", None)
+    assert "packed" not in {f.name for f in dataclasses.fields(RankMatrix)}
+    assert twin == m and hash(twin) == hash(m)
+    assert not twin < m and not m < twin
+    assert twin.to_rows() == m.to_rows() and repr(twin) == repr(m)
+    assert sorted([twin, rank_matrix(inv("(2,4)(3,5)", 5))]) == sorted(
+        [m, rank_matrix(inv("(2,4)(3,5)", 5))]
+    )
+
+
+def test_leq_matches_cells_on_random_matrices():
+    # not only images: any nonnegative cells that fit the packing
+    draw = random.Random("packed-leq")
+    for n in (2, 5, 8, 13):
+        cells = n * (n - 1) // 2
+        for _ in range(300):
+            top = draw.choice((1, 2, n // 2 + 1, 127))
+            a = RankMatrix(n, tuple(draw.randint(0, top) for _ in range(cells)))
+            b = RankMatrix(n, tuple(min(top, c + draw.randint(-1, 1)) if c else 0 for c in a.cells))
+            assert a.packed is not None and b.packed is not None
+            assert leq(a, b) == _tuple_leq(a, b)
+            assert leq(b, a) == _tuple_leq(b, a)
+
+
+def test_cell_width_holds_one_past_the_largest_count():
+    from orbitposet.rank_matrices import _layout
+
+    for n in range(1, 600):
+        size = _layout(n)[0]
+        assert (n // 2 + 1) < 1 << (8 * size - 1)
+        assert size == 1 or (n // 2 + 1) >= 1 << (8 * size - 9)
+    # n // 2 + 1 stops fitting below one byte's guard bit at n = 254
+    assert _layout(253)[0] == 1 and _layout(254)[0] == 2
+
+
+def test_two_byte_cells_round_trip_and_compare():
+    draw = random.Random("packed-wide")
+    for n in (253, 254):
+        m = rank_matrix(Involution(n, tuple((s, n + 1 - s) for s in range(1, n // 2 + 1))))
+        assert max(m.cells) == n // 2
+        assert RankMatrix._from_packed(n, m.packed) == m
+        other = RankMatrix(n, tuple(max(0, c - draw.randint(0, 1)) for c in m.cells))
+        assert other != m
+        assert leq(other, m) and not leq(m, other)
+        assert meet(other, m) == other
+
+
+EDGE_VALUES = (0, 1, 2, 126, 127, 128, 255, 256, 1000)
+
+
+def test_cells_past_the_packing_edge_fall_back_to_tuples():
+    # only an invalid from_rows matrix can carry cells this large
+    mats = [
+        RankMatrix.from_rows([[0, x, y], [0, 0, z], [0, 0, 0]])
+        for x, y, z in itertools.product(EDGE_VALUES, (0, 127, 128, 1000), (0, 1, 255))
+    ]
+    for m in mats:
+        assert (m.packed is None) == (max(m.cells) >= 128)
+    for a, b in itertools.product(mats, repeat=2):
+        assert leq(a, b) == _tuple_leq(a, b)
+        low = meet(a, b)
+        assert low.cells == tuple(map(min, a.cells, b.cells))
+        assert (low.packed is None) == (max(low.cells) >= 128)
