@@ -29,7 +29,7 @@ from .rs import find_rs_witness
 from .tableaux import (
     TwoColumnTableau,
     change,
-    codim1_partners,
+    change_rule_partners,
     sigma_T,
     tableau_of,
 )
@@ -287,7 +287,7 @@ def _cmd_inv2tab(args) -> int:
 def _cmd_partners(args) -> int:
     for text in _inputs(args.tableau):
         tab = TwoColumnTableau.parse(text)
-        partners = sorted(codim1_partners(tab))
+        partners = sorted(change_rule_partners(tab))
         if args.json:
             print(json.dumps({"tableau": str(tab), "partners": [str(p) for p in partners]}, sort_keys=True))
         elif args.tableau == "-":

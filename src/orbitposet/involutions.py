@@ -25,6 +25,7 @@ from .errors import (
     OutOfRange,
     ParseError,
 )
+from .limits import CACHE_SIZE
 
 Pair = tuple[int, int]
 
@@ -167,7 +168,7 @@ def q_values(inv: Involution) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def dimension(inv: Involution) -> int:
     """Dimension of the conjugation orbit attached to the involution.
 
@@ -252,5 +253,8 @@ def enumerate_involutions(n: int, k: int | None = None) -> Iterator[Involution]:
 
 @lru_cache(maxsize=None)
 def all_involutions(n: int, k: int | None = None) -> tuple[Involution, ...]:
-    """Materialised, cached form of :func:`enumerate_involutions`."""
+    """Materialised, cached form of :func:`enumerate_involutions`.
+
+    Unbounded: its callers are guarded (:mod:`.limits`), which caps the ``(n, k)`` keys.
+    """
     return tuple(enumerate_involutions(n, k))

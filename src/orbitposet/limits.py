@@ -6,6 +6,9 @@ enumerates a down-set that reaches tens of thousands of elements at n=12
 (n=14 with seven 2-cycles takes 10-20 s).  Guards can be lifted
 per call (``max_n=...``) or globally through the ``ORBIT_POSET_MAX_N``
 environment variable.
+
+``CACHE_SIZE`` bounds the ``rank_matrix`` and ``dimension`` caches above the
+oracle's working set (1 115 involutions to n = 8) and ``hasse`` at n = 10 (9 496).
 """
 
 import os
@@ -17,6 +20,8 @@ ENV_MAX_N = "ORBIT_POSET_MAX_N"
 ALL_PAIRS_MAX_N = 8
 SINGLE_PASS_MAX_N = 10
 INTERSECT_MAX_N = 12
+
+CACHE_SIZE = 16_384
 
 
 def effective_cap(default_cap: int, override: int | None = None) -> int:

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from math import factorial
 
-from .errors import UnknownSuite
+from .errors import BadRank, UnknownSuite
 from .involutions import (
     Involution,
     all_involutions,
@@ -849,6 +849,8 @@ def verify_suite(
     """Run one named suite and report; failures list stays empty on success."""
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if k_max is not None and k_max < 0:
+        raise BadRank(f"k={k_max} must be >= 0")
     fn, default_n, cap = SUITES[name]
     n = default_n if n_max is None else n_max
     check_guard(n, cap, max_n)

@@ -4,23 +4,20 @@ The closure order is the entrywise rank-matrix order.  A closure is the set
 of involutions below one rank matrix, and the intersection of two closures
 is the set below the entrywise minimum (meet) of two; the intersection is
 irreducible exactly when that minimum is itself a valid rank matrix.  Both
-sets come from one depth-first search that adds pairs while every window
-count stays within the bound.  The counts are one packed integer (see
-:mod:`.rank_matrices`), so adding a pair is one addition of its window mask
-and the bound is checked in one test; masks are built only for the pairs
-the search tries, so the cost follows the size of the answer.
+sets come from one depth-first search, ``rank_matrices._below_bound``, that
+adds pairs while every window count stays within the bound, so the cost
+follows the size of the answer.  The search and the packed form it counts
+in both live in :mod:`.rank_matrices`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
-
 from .errors import BadRank, NotComparable, RankMismatch, SizeMismatch
 from .involutions import Involution, Pair, _trusted, all_involutions, dimension, sigma_o
 from .limits import INTERSECT_MAX_N, SINGLE_PASS_MAX_N, check_guard
 from .moves import cover_moves
-from .rank_matrices import RankMatrix, _layout, _pair_masks, is_valid, leq, meet, rank_matrix
+from .rank_matrices import RankMatrix, _below_bound, is_valid, leq, meet, rank_matrix
 
 
 @dataclass(frozen=True)
@@ -54,48 +51,6 @@ class PosetEdge:
     upper: Involution
     lower: Involution
     kind: str
-
-
-def _below_bound(bound: RankMatrix) -> Iterator[tuple[tuple[Pair, ...], int]]:
-    """Every involution whose rank matrix lies entrywise below ``bound``.
-
-    Yields ``(pairs, packed)``: the canonical pairs and the packed rank
-    matrix (:attr:`RankMatrix.packed`).  A depth-first search adds pairs with
-    increasing first entries; adding ``(a, b)`` adds its window mask, one to
-    every window ``(i, j)`` with ``i <= a`` and ``b <= j``.  Counts only
-    grow, so a branch is dropped as soon as one window would pass the bound,
-    and the work follows the size of the output.  Each involution is yielded
-    once, in no promised order.  Every cell of ``bound`` must fit the
-    packing, as every meet of rank matrices does.
-    """
-    n = bound.n
-    masks = _pair_masks(n)
-    guard = _layout(n)[1]
-    cap = bound.packed | guard
-    used = [False] * (n + 1)
-    prefix: list[Pair] = []
-
-    def rec(min_first: int, counts: int) -> Iterator[tuple[tuple[Pair, ...], int]]:
-        yield tuple(prefix), counts
-        for a in range(min_first, n):
-            if used[a]:
-                continue
-            row = masks[a]
-            # (a, b) raises a superset of the windows (a, b + 1) raises, so
-            # once one second entry fails every smaller one fails too.
-            for b in range(n, a, -1):
-                if used[b]:
-                    continue
-                raised = counts + row[b]
-                if (cap - raised) & guard != guard:
-                    break
-                used[a] = used[b] = True
-                prefix.append((a, b))
-                yield from rec(a + 1, raised)
-                prefix.pop()
-                used[a] = used[b] = False
-
-    return rec(1, 0)
 
 
 def closure(inv: Involution) -> set[Involution]:

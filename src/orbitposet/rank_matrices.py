@@ -5,23 +5,31 @@ window ``[i, j]``; everything on or below the diagonal is zero.  Matrices of
 equal rank are compared entrywise, and the entrywise order lifted back to
 involutions is the orbit-closure order.
 
-Besides its cell tuple a matrix carries the same cells packed into one
-integer, a whole number of bytes per cell with the top bit of each cell
-kept clear as a guard bit.  Cells then add and compare all at once:
-``a <= b`` in every cell exactly when ``((b | G) - a) & G == G``, with ``G``
-the guard bits, because no cell's difference borrows past its own guard.
-The packed rank matrix of the single pair ``(a, b)`` is the mask of the
-windows that hold it, so adding a pair to an involution adds its mask.
+A matrix is stored once, as its strict upper triangle packed into one
+integer: cell ``o`` (rows top to bottom, each holding columns ``i+1..n``)
+fills ``width`` bytes from byte ``width * o``, and the top bit of each cell is
+kept clear as a guard bit.  The width is the narrowest that holds both
+``n // 2 + 1`` and the largest cell, so equal matrices pack equally and every
+matrix of an involution has the same width.  Cells then add and compare all
+at once: ``a <= b`` in every cell exactly when ``((b | G) - a) & G == G``,
+with ``G`` the guard bits, because no cell's difference borrows past its own
+guard.  The packed rank matrix of the single pair ``(a, b)`` is the mask of
+the windows that hold it, so the rank matrix of an involution is the sum of
+its pairs' masks, and the search for everything below a bound adds one mask
+per pair.  No other module knows this layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from operator import le
+from typing import Iterator
 
 from .errors import InvalidRankMatrix, OutOfRange, SizeMismatch
 from .involutions import Involution, Pair, canonicalize
+from .limits import CACHE_SIZE
 
 
 def _tri_len(n: int) -> int:
@@ -33,61 +41,53 @@ def _offset(n: int, i: int, j: int) -> int:
     return (i - 1) * n - i * (i - 1) // 2 + (j - i - 1)
 
 
-@lru_cache(maxsize=16)
-def _layout(n: int) -> tuple[int, int]:
-    """``(bytes per cell, guard bits)`` of the packed form at rank ``n``.
+def _width(n: int, top: int = 0) -> int:
+    """Bytes per cell with room below the guard bit for ``n // 2 + 1`` and ``top``.
 
-    A cell holds up to ``n // 2 + 1`` below its guard bit: no window holds
-    more than ``n // 2`` pairs, and a search may overshoot a bound by one
-    before it tests the fit.
+    No window holds more than ``n // 2`` pairs; a search may overshoot by one.
     """
-    size = ((n // 2 + 1).bit_length() + 8) // 8
-    top_bit = (0x80 << 8 * (size - 1)).to_bytes(size, "little")
-    return size, int.from_bytes(top_bit * _tri_len(n), "little")
+    return (max(n // 2 + 1, top).bit_length() + 8) // 8
 
 
-def _pack(n: int, cells: tuple[int, ...]) -> int | None:
-    """Cell ``o`` in byte ``size * o`` onwards; None if a cell reaches a guard bit."""
-    size = _layout(n)[0]
-    if cells and max(cells) >> (8 * size - 1):
-        return None
-    if size == 1:
-        return int.from_bytes(bytes(cells), "little")
-    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in cells), "little")
+@lru_cache(maxsize=16)
+def _guard(n: int, width: int) -> int:
+    """The top bit of every cell at rank ``n`` with ``width`` bytes per cell."""
+    top_bit = (0x80 << 8 * (width - 1)).to_bytes(width, "little")
+    return int.from_bytes(top_bit * _tri_len(n), "little")
 
 
-def _unpack(n: int, packed: int) -> tuple[int, ...]:
-    size = _layout(n)[0]
-    raw = packed.to_bytes(_tri_len(n) * size, "little")
-    if size == 1:
+def _pack(n: int, cells: tuple[int, ...]) -> tuple[int, int]:
+    """``(width, packed)`` for nonnegative ``cells`` at rank ``n``."""
+    width = _width(n, max(cells, default=0))
+    if width == 1:
+        return width, int.from_bytes(bytes(cells), "little")
+    return width, int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cells), "little")
+
+
+def _unpack(n: int, width: int, packed: int) -> tuple[int, ...]:
+    raw = packed.to_bytes(_tri_len(n) * width, "little")
+    if width == 1:
         return tuple(raw)
-    return tuple(int.from_bytes(raw[o : o + size], "little") for o in range(0, len(raw), size))
+    return tuple(int.from_bytes(raw[o : o + width], "little") for o in range(0, len(raw), width))
 
 
 class _MaskRow(dict):
     """``row[b]``: the packed windows ``(i, j)`` with ``i <= a`` and ``b <= j``.
 
-    That is the packed rank matrix of the single pair ``(a, b)``, filled on
-    first use by the row-run recurrence ``mask(a, b) = run(a, b) + mask(a -
-    1, b)``, where ``run(a, b)`` is cells ``b..n`` of row ``a``.
+    That is the packed rank matrix of the single pair ``(a, b)``, built on
+    first use.
     """
 
-    def __init__(self, n: int, a: int, prev: "_MaskRow | None") -> None:
+    def __init__(self, n: int, a: int) -> None:
         super().__init__()
-        self.n, self.a, self.prev = n, a, prev
+        self.n, self.a = n, a
 
     def __missing__(self, b: int) -> int:
-        chain = []
-        row: _MaskRow | None = self
-        while row is not None and b not in row:
-            chain.append(row)
-            row = row.prev
-        mask = 0 if row is None else row[b]
-        size = _layout(self.n)[0]
-        run = int.from_bytes((1).to_bytes(size, "little") * (self.n - b + 1), "little")
-        for row in reversed(chain):
-            mask += run << 8 * size * _offset(self.n, row.a, b)
-            row[b] = mask
+        n, width = self.n, _width(self.n)
+        one, zero = (1).to_bytes(width, "little"), bytes(width)
+        # row i holds columns i+1..n; rows below a are zero, the high end of the int
+        rows = (zero * (b - i - 1) + one * (n - b + 1) for i in range(1, self.a + 1))
+        mask = self[b] = int.from_bytes(b"".join(rows), "little")
         return mask
 
 
@@ -95,61 +95,65 @@ class _MaskRow(dict):
 def _pair_masks(n: int) -> tuple[_MaskRow | None, ...]:
     """``_pair_masks(n)[a][b]``: packed windows holding the pair ``(a, b)``.
 
-    Masks are filled lazily, so the cost follows the pairs a caller asks
+    Masks are built on first use, so the cost follows the pairs callers ask
     about rather than the O(n^4) cells of a full table.
     """
-    rows: list[_MaskRow | None] = [None]
-    for a in range(1, n + 1):
-        rows.append(_MaskRow(n, a, rows[-1]))
-    return tuple(rows)
+    return (None, *(_MaskRow(n, a) for a in range(1, n + 1)))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class RankMatrix:
     """Strictly upper-triangular nonnegative integer matrix.
 
-    Only the strict upper triangle is stored; ``entry`` reads 0 on and below
-    the diagonal and outside the index range, which keeps boundary cases in
-    the validity clauses uniform.  ``packed`` holds the same cells as one
-    integer (see the module docstring); it is derived, so equality, hashing
-    and ordering ignore it, and it is None for a matrix with a cell too large
-    for the packing, which no rank matrix of an involution has.
+    ``RankMatrix(n, cells)`` takes the strict upper triangle row by row and
+    stores it as ``n``, the cell ``width`` in bytes and ``packed`` (see the
+    module docstring).  ``cells``, ``entry`` and ``to_rows`` are derived;
+    ``entry`` reads 0 on and below the diagonal and outside the index range.
     """
 
     n: int
-    cells: tuple[int, ...]
+    width: int
+    packed: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise OutOfRange(f"ambient rank must be >= 1, got {self.n}")
-        if len(self.cells) != _tri_len(self.n):
-            raise SizeMismatch(
-                f"expected {_tri_len(self.n)} cells for n={self.n}, got {len(self.cells)}"
-            )
-        if self.cells and min(self.cells) < 0:
+    def __init__(self, n: int, cells: tuple[int, ...]) -> None:
+        if n < 1:
+            raise OutOfRange(f"ambient rank must be >= 1, got {n}")
+        if len(cells) != _tri_len(n):
+            raise SizeMismatch(f"expected {_tri_len(n)} cells for n={n}, got {len(cells)}")
+        if cells and min(cells) < 0:
             raise OutOfRange("rank matrix entries must be nonnegative")
-        object.__setattr__(self, "packed", _pack(self.n, self.cells))
+        width, packed = _pack(n, cells)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "packed", packed)
 
     @classmethod
     def _from_packed(cls, n: int, packed: int) -> "RankMatrix":
-        """Trusted constructor from a packed value at rank ``n``; nothing is checked."""
-        # Search candidates are short-lived, so the fields go straight into
-        # the instance dict, which is faster than three object.__setattr__.
+        """Unchecked constructor from cells, each at most ``n // 2``, packed at width ``_width(n)``."""
         m = object.__new__(cls)
-        fields = m.__dict__
-        fields["n"] = n
-        fields["cells"] = _unpack(n, packed)
-        fields["packed"] = packed
+        object.__setattr__(m, "n", n)
+        object.__setattr__(m, "width", _width(n))
+        object.__setattr__(m, "packed", packed)
         return m
+
+    @property
+    def cells(self) -> tuple[int, ...]:
+        """The strict upper triangle, row by row."""
+        return _unpack(self.n, self.width, self.packed)
+
+    def __repr__(self) -> str:
+        return f"RankMatrix(n={self.n!r}, cells={self.cells!r})"
 
     def entry(self, i: int, j: int) -> int:
         if i < 1 or j > self.n or i >= j:
             return 0
-        return self.cells[_offset(self.n, i, j)]
+        bits = 8 * self.width
+        return (self.packed >> bits * _offset(self.n, i, j)) & ((1 << bits) - 1)
 
     def to_rows(self) -> list[list[int]]:
         """Dense n-by-n list form (lower triangle zeros included)."""
-        return [[self.entry(i, j) for j in range(1, self.n + 1)] for i in range(1, self.n + 1)]
+        cells = iter(self.cells)
+        return [[0] * i + list(islice(cells, self.n - i)) for i in range(1, self.n + 1)]
 
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> "RankMatrix":
@@ -170,13 +174,10 @@ class RankMatrix:
                 v = rows[i - 1][j - 1]
                 if type(v) is not int:  # bool is an int subclass, and is refused
                     raise InvalidRankMatrix(f"entry ({i},{j}) is not an integer: {v!r}")
-                if i >= j:
-                    if v != 0:
-                        raise InvalidRankMatrix(
-                            f"entry ({i},{j}) on or below the diagonal must be 0"
-                        )
-                else:
+                if i < j:
                     cells.append(v)
+                elif v != 0:
+                    raise InvalidRankMatrix(f"entry ({i},{j}) on or below the diagonal must be 0")
         return cls(n, tuple(cells))
 
     def to_json_dict(self) -> dict:
@@ -184,21 +185,22 @@ class RankMatrix:
 
     def format_grid(self) -> str:
         """Aligned text grid for terminal display."""
-        width = max(len(str(v)) for row in self.to_rows() for v in row)
-        return "\n".join(
-            " ".join(str(v).rjust(width) for v in row) for row in self.to_rows()
-        )
+        rows = self.to_rows()
+        width = max(len(str(v)) for row in rows for v in row)
+        return "\n".join(" ".join(str(v).rjust(width) for v in row) for row in rows)
 
 
-@lru_cache(maxsize=None)
+def _grid(r: RankMatrix) -> list[list[int]]:
+    """``to_rows`` framed by zeros: ``g[i][j] == r.entry(i, j)`` for 0 <= i, j <= n + 1."""
+    pad = [0] * (r.n + 2)
+    return [pad, *([0, *row, 0] for row in r.to_rows()), pad]
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def rank_matrix(inv: Involution) -> RankMatrix:
-    """Matrix whose (i,j) entry counts the pairs of ``inv`` inside [i, j]."""
-    n = inv.n
-    cells = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            cells.append(sum(1 for a, b in inv.pairs if i <= a and b <= j))
-    return RankMatrix(n, tuple(cells))
+    """Matrix whose (i,j) entry counts the pairs of ``inv`` inside [i, j]: the sum of their masks."""
+    masks = _pair_masks(inv.n)
+    return RankMatrix._from_packed(inv.n, sum(masks[a][b] for a, b in inv.pairs))
 
 
 def is_valid(r: RankMatrix) -> bool:
@@ -210,33 +212,24 @@ def is_valid(r: RankMatrix) -> bool:
     corner to behave like a genuine pair position.
     """
     n = r.n
-    e = r.entry
+    g = _grid(r)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            v = e(i, j)
-            below, left = e(i + 1, j), e(i, j - 1)
-            if not below <= v <= below + 1:
+            v, below, left = g[i][j], g[i + 1][j], g[i][j - 1]
+            if not (below <= v <= below + 1 and left <= v <= left + 1):
                 return False
-            if not left <= v <= left + 1:
-                return False
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            v = e(i, j)
-            if not (v == e(i + 1, j) + 1 == e(i, j - 1) + 1 == e(i + 1, j - 1) + 1):
+            if not v == below + 1 == left + 1 == g[i + 1][j - 1] + 1:
                 continue
             # (i, j) is a corner: row i must split from row i+1 exactly at j,
             # column j from column j-1 exactly at i, and j must start no pair
             # while i ends none.
             for c in range(1, n + 1):
-                expected = e(i + 1, c) + (1 if c >= j else 0)
-                if e(i, c) != expected:
-                    return False
-                expected = e(c, j - 1) + (1 if c <= i else 0)
-                if e(c, j) != expected:
-                    return False
-                if e(j, c) != e(j + 1, c):
-                    return False
-                if e(c, i) != e(c, i - 1):
+                if (
+                    g[i][c] != g[i + 1][c] + (c >= j)
+                    or g[c][j] != g[c][j - 1] + (c <= i)
+                    or g[j][c] != g[j + 1][c]
+                    or g[c][i] != g[c][i - 1]
+                ):
                     return False
     return True
 
@@ -248,17 +241,16 @@ def _as_matrix(value: Involution | RankMatrix) -> RankMatrix:
 def leq(a: Involution | RankMatrix, b: Involution | RankMatrix) -> bool:
     """Entrywise order: ``a`` below ``b``.  Accepts involutions or matrices.
 
-    One guard-bit test on the packed forms, or a cell-by-cell comparison
-    when either matrix has no packed form.
+    One guard-bit test on the packed forms.  Across widths, a wider ``a``
+    holds a cell ``b`` cannot reach, and a narrower one is compared by cells.
     """
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.n != mb.n:
         raise SizeMismatch(f"cannot compare ranks {ma.n} and {mb.n}")
-    pa, pb = ma.packed, mb.packed
-    if pa is None or pb is None:
-        return all(map(le, ma.cells, mb.cells))
-    guard = _layout(ma.n)[1]
-    return ((pb | guard) - pa) & guard == guard
+    if ma.width != mb.width:
+        return ma.width < mb.width and all(map(le, ma.cells, mb.cells))
+    guard = _guard(ma.n, ma.width)
+    return ((mb.packed | guard) - ma.packed) & guard == guard
 
 
 def meet(a: Involution | RankMatrix, b: Involution | RankMatrix) -> RankMatrix:
@@ -266,7 +258,7 @@ def meet(a: Involution | RankMatrix, b: Involution | RankMatrix) -> RankMatrix:
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.n != mb.n:
         raise SizeMismatch(f"cannot meet ranks {ma.n} and {mb.n}")
-    return RankMatrix(ma.n, tuple(min(x, y) for x, y in zip(ma.cells, mb.cells)))
+    return RankMatrix(ma.n, tuple(map(min, ma.cells, mb.cells)))
 
 
 def from_rank_matrix(r: RankMatrix) -> Involution:
@@ -277,10 +269,51 @@ def from_rank_matrix(r: RankMatrix) -> Involution:
     """
     if not is_valid(r):
         raise InvalidRankMatrix("matrix fails the rank-matrix characterisation")
-    e = r.entry
+    g = _grid(r)
     pairs: list[Pair] = []
     for a in range(1, r.n + 1):
         for b in range(a + 1, r.n + 1):
-            if e(a, b) - e(a + 1, b) - e(a, b - 1) + e(a + 1, b - 1) == 1:
+            if g[a][b] - g[a + 1][b] - g[a][b - 1] + g[a + 1][b - 1] == 1:
                 pairs.append((a, b))
     return canonicalize(pairs, r.n)
+
+
+def _below_bound(bound: RankMatrix) -> Iterator[tuple[tuple[Pair, ...], int]]:
+    """Every involution whose rank matrix lies entrywise below ``bound``.
+
+    Yields the canonical pairs and the packed rank matrix, for
+    :meth:`RankMatrix._from_packed`.  A depth-first search adds pairs with
+    increasing first entries; adding ``(a, b)`` adds its window mask.  Counts
+    only grow, so a branch is dropped as soon as one window would pass the
+    bound, and the work follows the size of the output.  Each involution is
+    yielded once, in no promised order.  ``bound`` must have width
+    ``_width(n)``, as every meet of involutions' matrices has.
+    """
+    n = bound.n
+    masks = _pair_masks(n)
+    guard = _guard(n, _width(n))
+    cap = bound.packed | guard
+    used = [False] * (n + 1)
+    prefix: list[Pair] = []
+
+    def rec(min_first: int, counts: int) -> Iterator[tuple[tuple[Pair, ...], int]]:
+        yield tuple(prefix), counts
+        for a in range(min_first, n):
+            if used[a]:
+                continue
+            row = masks[a]
+            # (a, b) raises a superset of the windows (a, b + 1) raises, so
+            # once one second entry fails every smaller one fails too.
+            for b in range(n, a, -1):
+                if used[b]:
+                    continue
+                raised = counts + row[b]
+                if (cap - raised) & guard != guard:
+                    break
+                used[a] = used[b] = True
+                prefix.append((a, b))
+                yield from rec(a + 1, raised)
+                prefix.pop()
+                used[a] = used[b] = False
+
+    return rec(1, 0)

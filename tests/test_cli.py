@@ -166,6 +166,19 @@ def test_partners_change(capsys):
     assert payload["is_tableau"] is False
 
 
+def test_partners_equal_the_moves_route_to_n8(capsys):
+    from orbitposet.tableaux import codim1_partners, enumerate_tableaux
+
+    for n in range(1, 9):
+        for k in range(n // 2 + 1):
+            for tab in enumerate_tableaux(n, k):
+                expected = [str(p) for p in sorted(codim1_partners(tab))]
+                code, out, _ = run(capsys, "partners", str(tab))
+                assert code == 0 and out.splitlines() == expected, tab
+                code, out, _ = run(capsys, "partners", str(tab), "--json")
+                assert code == 0 and json.loads(out)["partners"] == expected, tab
+
+
 def test_rs_witness(capsys):
     payload = run_json(capsys, "rs-witness", "1,2|3,4", "1,3|2,4")
     assert payload["witness"] is not None
@@ -236,6 +249,14 @@ def one_error_line(err):
 )
 def test_malformed_matrices_exit_one(capsys, command, matrix):
     code, out, err = run(capsys, command, matrix)
+    assert code == 1 and out == ""
+    assert one_error_line(err), err
+
+
+@pytest.mark.parametrize("selector", [["--all"], ["--suite", "counts"], ["--suite", "rs"]])
+@pytest.mark.parametrize("output", [[], ["--json"]])
+def test_verify_negative_k_exits_one(capsys, selector, output):
+    code, out, err = run(capsys, "verify", *selector, "--k", "-1", *output)
     assert code == 1 and out == ""
     assert one_error_line(err), err
 

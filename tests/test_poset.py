@@ -29,7 +29,7 @@ from orbitposet import (
     sigma_o,
 )
 from orbitposet.errors import TooLarge
-from orbitposet.poset import _below_bound
+from orbitposet.rank_matrices import _below_bound
 
 
 def inv(text, n):

@@ -1,24 +1,31 @@
 """Rank matrices: displayed values, validity clauses, order, recovery."""
 
+import ast
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from operator import le
+from pathlib import Path
 
 import pytest
 
+import orbitposet
 from orbitposet import (
     InvalidRankMatrix,
     Involution,
     RankMatrix,
     SizeMismatch,
     all_involutions,
+    canonicalize,
+    dimension,
     from_rank_matrix,
     is_valid,
     leq,
     meet,
     rank_matrix,
 )
+from orbitposet.limits import CACHE_SIZE
 
 # the reducible n=5 example: both matrices appear displayed in full
 R_A_ROWS = [
@@ -185,17 +192,23 @@ def test_packed_form_round_trips_every_rank_matrix_to_n7():
             assert back == m and back.cells == m.cells and back.packed == m.packed
 
 
-def test_packed_form_is_not_a_field():
+def test_packed_form_is_the_only_field():
     m = rank_matrix(inv("(1,5)(3,4)", 5))
+    assert [f.name for f in dataclasses.fields(RankMatrix)] == ["n", "width", "packed"]
+    assert not hasattr(m, "__dict__")
+    assert repr(m) == "RankMatrix(n=5, cells=(0, 0, 1, 2, 0, 1, 1, 1, 1, 0))"
     twin = RankMatrix(5, m.cells)
-    object.__setattr__(twin, "packed", None)
-    assert "packed" not in {f.name for f in dataclasses.fields(RankMatrix)}
-    assert twin == m and hash(twin) == hash(m)
-    assert not twin < m and not m < twin
-    assert twin.to_rows() == m.to_rows() and repr(twin) == repr(m)
-    assert sorted([twin, rank_matrix(inv("(2,4)(3,5)", 5))]) == sorted(
-        [m, rank_matrix(inv("(2,4)(3,5)", 5))]
-    )
+    assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
+    # both pack to 256, one byte per cell for (0, 1, 0) and two for (256, 0, 0)
+    wide = RankMatrix.from_rows([[0, 256, 0], [0, 0, 0], [0, 0, 0]])
+    narrow = RankMatrix.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    assert wide.packed == narrow.packed == 256
+    assert (wide.width, narrow.width) == (2, 1)
+    assert wide != narrow and len({wide, narrow}) == 2
+    assert wide.cells == (256, 0, 0) and narrow.cells == (0, 1, 0)
+    assert wide == RankMatrix(3, (256, 0, 0)) and hash(wide) == hash(RankMatrix(3, (256, 0, 0)))
+    # a matrix narrows again once its large cells are gone
+    assert meet(wide, narrow) == RankMatrix(3, (0, 0, 0)) == rank_matrix(Involution.identity(3))
 
 
 def test_leq_matches_cells_on_random_matrices():
@@ -213,14 +226,14 @@ def test_leq_matches_cells_on_random_matrices():
 
 
 def test_cell_width_holds_one_past_the_largest_count():
-    from orbitposet.rank_matrices import _layout
+    from orbitposet.rank_matrices import _width
 
     for n in range(1, 600):
-        size = _layout(n)[0]
+        size = _width(n)
         assert (n // 2 + 1) < 1 << (8 * size - 1)
         assert size == 1 or (n // 2 + 1) >= 1 << (8 * size - 9)
     # n // 2 + 1 stops fitting below one byte's guard bit at n = 254
-    assert _layout(253)[0] == 1 and _layout(254)[0] == 2
+    assert _width(253) == 1 and _width(254) == 2
 
 
 def test_two_byte_cells_round_trip_and_compare():
@@ -244,10 +257,80 @@ def test_cells_past_the_packing_edge_fall_back_to_tuples():
         RankMatrix.from_rows([[0, x, y], [0, 0, z], [0, 0, 0]])
         for x, y, z in itertools.product(EDGE_VALUES, (0, 127, 128, 1000), (0, 1, 255))
     ]
-    for m in mats:
-        assert (m.packed is None) == (max(m.cells) >= 128)
     for a, b in itertools.product(mats, repeat=2):
         assert leq(a, b) == _tuple_leq(a, b)
         low = meet(a, b)
         assert low.cells == tuple(map(min, a.cells, b.cells))
-        assert (low.packed is None) == (max(low.cells) >= 128)
+
+
+def _window_counts(e):
+    n = e.n
+    return tuple(
+        sum(1 for a, b in e.pairs if i <= a and b <= j)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    )
+
+
+def _random_involution(draw, n, k):
+    points = draw.sample(range(1, n + 1), 2 * k)
+    return canonicalize(zip(points[::2], points[1::2]), n)
+
+
+def test_rank_matrix_is_the_window_count():
+    # the mask sum against the literal definition, across the one-to-two-byte step
+    draw = random.Random("mask-sum")
+    for n, k_top in [*((n, n // 2) for n in range(1, 31) for _ in range(5)), (253, 6), (254, 6)]:
+        e = _random_involution(draw, n, draw.randint(0, k_top))
+        assert rank_matrix(e).cells == _window_counts(e), e
+
+
+def test_value_caches_stay_within_their_bound():
+    draw = random.Random("cache-bound")
+    fresh = set()
+    while len(fresh) < CACHE_SIZE + 500:
+        e = _random_involution(draw, 30, draw.randint(1, 15))
+        if e not in fresh:
+            fresh.add(e)
+            rank_matrix(e)
+            dimension(e)
+    for cached in (rank_matrix, dimension):
+        info = cached.cache_info()
+        assert info.maxsize == info.currsize == CACHE_SIZE
+        cached.cache_clear()
+
+
+def test_a_cached_rank_matrix_takes_under_a_kilobyte():
+    draw = random.Random("matrix-memory")
+    invs = [_random_involution(draw, 30, 15) for _ in range(2000)]
+    rank_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for e in invs:
+            rank_matrix(e)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        rank_matrix.cache_clear()
+    assert used / len(invs) <= 1024, used / len(invs)
+
+
+LAYOUT_NAMES = {"_tri_len", "_offset", "_width", "_guard", "_pack", "_unpack", "_MaskRow", "_pair_masks"}
+
+
+def test_only_rank_matrices_knows_the_packed_layout():
+    seen = {}
+    for path in sorted(Path(orbitposet.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.ImportFrom, ast.Import)):
+                names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        seen[path.stem] = names & LAYOUT_NAMES
+    assert seen["rank_matrices"] == LAYOUT_NAMES
+    assert {module: names for module, names in seen.items() if names and module != "rank_matrices"} == {}
