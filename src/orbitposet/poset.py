@@ -1,23 +1,35 @@
 """Order-level queries: closures, intersections, codimension, chains, Hasse data.
 
 The closure order is the entrywise rank-matrix order.  A closure is the set
-of involutions below one rank matrix, and the intersection of two closures
-is the set below the entrywise minimum (meet) of two; the intersection is
-irreducible exactly when that minimum is itself a valid rank matrix.  Both
-sets come from one depth-first search, ``rank_matrices._below_bound``, that
-adds pairs while every window count stays within the bound, so the cost
-follows the size of the answer.  The search and the packed form it counts
-in both live in :mod:`.rank_matrices`.
+of involutions below one rank matrix, enumerated by one depth-first search,
+``rank_matrices._below_bound``, that adds pairs while every window count
+stays within the bound, so the cost follows the size of the answer.  The
+intersection of two closures is the set below the entrywise minimum (meet)
+of the two matrices, and ``intersect`` finds its components in three steps:
+a comparable pair has the lower one as its only component; a meet that is
+itself a valid rank matrix has its own involution as the only component
+(the intersection is irreducible exactly then); and only a reducible meet
+is searched, for its maximal nodes, by ``rank_matrices._maximal_below``.
+The search and the packed form it counts in live in :mod:`.rank_matrices`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from .errors import BadRank, NotComparable, RankMismatch, SizeMismatch
-from .involutions import Involution, Pair, _trusted, all_involutions, dimension, sigma_o
+from .involutions import Involution, _trusted, all_involutions, dimension, sigma_o
 from .limits import INTERSECT_MAX_N, SINGLE_PASS_MAX_N, check_guard
 from .moves import cover_moves
-from .rank_matrices import RankMatrix, _below_bound, is_valid, leq, meet, rank_matrix
+from .rank_matrices import (
+    RankMatrix,
+    _below_bound,
+    _maximal_below,
+    _recover,
+    is_valid,
+    leq,
+    meet,
+    rank_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -70,9 +82,15 @@ def intersect(
     Both arguments must have the same ambient rank and, unless ``force`` is
     set, the same cycle count (the decomposition below is stated for equal
     counts; ``force`` applies the same recipe outside that scope).  The
-    components are the maximal involutions below the meet, kept in one pass
-    over :func:`_below_bound`: a candidate below a kept element is skipped,
-    otherwise it replaces the kept elements below it.
+    components are the maximal involutions below the meet, found in three
+    steps:
+
+    1. if one rank matrix lies below the other, the meet is that matrix and
+       its involution is the only component;
+    2. otherwise, if the meet passes :func:`is_valid`, everything below it
+       lies below the involution it recovers to, the only component;
+    3. otherwise the intersection is reducible, and the components are the
+       maximal nodes of the search under the meet (``_maximal_below``).
     """
     if a.n != b.n:
         raise SizeMismatch(f"cannot intersect ranks {a.n} and {b.n}")
@@ -81,20 +99,23 @@ def intersect(
             f"cycle counts differ ({a.length} vs {b.length}); pass force to proceed"
         )
     check_guard(a.n, INTERSECT_MAX_N, max_n)
-    bound = meet(rank_matrix(a), rank_matrix(b))
-    kept: list[tuple[tuple[Pair, ...], RankMatrix]] = []
-    for pairs, packed in _below_bound(bound):
-        candidate = RankMatrix._from_packed(a.n, packed)
-        if any(leq(candidate, top) for _, top in kept):
-            continue
-        kept = [(p, top) for p, top in kept if not leq(top, candidate)]
-        kept.append((pairs, candidate))
-    components = sorted(_trusted(a.n, pairs) for pairs, _ in kept)
+    ra, rb = rank_matrix(a), rank_matrix(b)
+    if leq(ra, rb):
+        bound, irreducible, components = ra, True, [a]
+    elif leq(rb, ra):
+        bound, irreducible, components = rb, True, [b]
+    else:
+        bound = meet(ra, rb)
+        irreducible = is_valid(bound)
+        if irreducible:
+            components = [_recover(bound)]
+        else:
+            components = sorted(_trusted(a.n, pairs) for pairs in _maximal_below(bound))
     dims = tuple(dimension(c) for c in components)
     codim_value = min(dimension(a), dimension(b)) - max(dims)
     return IntersectionResult(
         meet=bound,
-        irreducible=is_valid(bound),
+        irreducible=irreducible,
         components=tuple(components),
         component_dims=dims,
         codim=codim_value,

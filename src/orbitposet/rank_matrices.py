@@ -15,8 +15,10 @@ at once: ``a <= b`` in every cell exactly when ``((b | G) - a) & G == G``,
 with ``G`` the guard bits, because no cell's difference borrows past its own
 guard.  The packed rank matrix of the single pair ``(a, b)`` is the mask of
 the windows that hold it, so the rank matrix of an involution is the sum of
-its pairs' masks, and the search for everything below a bound adds one mask
-per pair.  No other module knows this layout.
+its pairs' masks, the search for everything below a bound adds one mask
+per pair, and ``meet`` and the filter for the maximal nodes of that search
+(``_maximal_below``) work on the packed ints too.  No other module knows
+this layout.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ class RankMatrix:
 
     @classmethod
     def _from_packed(cls, n: int, packed: int) -> "RankMatrix":
-        """Unchecked constructor from cells, each at most ``n // 2``, packed at width ``_width(n)``."""
+        """Unchecked constructor from cells packed at width ``_width(n)``, each below its guard bit."""
         m = object.__new__(cls)
         object.__setattr__(m, "n", n)
         object.__setattr__(m, "width", _width(n))
@@ -254,21 +256,45 @@ def leq(a: Involution | RankMatrix, b: Involution | RankMatrix) -> bool:
 
 
 def meet(a: Involution | RankMatrix, b: Involution | RankMatrix) -> RankMatrix:
-    """Entrywise minimum of two rank matrices."""
+    """Entrywise minimum of two rank matrices.
+
+    At the narrowest width ``_width(n)``, which every involution's matrix
+    has, the minimum is taken in every cell at once: the guard-bit test
+    marks the cells where ``a >= b``, each mark is spread over its cell, and
+    the marked cells are read from ``b``, the rest from ``a``.  Other widths
+    go through the cells, so the minimum is repacked at its own narrowest
+    width.
+    """
     ma, mb = _as_matrix(a), _as_matrix(b)
-    if ma.n != mb.n:
-        raise SizeMismatch(f"cannot meet ranks {ma.n} and {mb.n}")
-    return RankMatrix(ma.n, tuple(map(min, ma.cells, mb.cells)))
+    n = ma.n
+    if n != mb.n:
+        raise SizeMismatch(f"cannot meet ranks {n} and {mb.n}")
+    width = _width(n)
+    if ma.width != width or mb.width != width:
+        return RankMatrix(n, tuple(map(min, ma.cells, mb.cells)))
+    guard = _guard(n, width)
+    bits = 8 * width
+    ge = ((ma.packed | guard) - mb.packed) & guard
+    mask = (ge >> (bits - 1)) * ((1 << bits) - 1)
+    return RankMatrix._from_packed(n, (mb.packed & mask) | (ma.packed & ~mask))
 
 
 def from_rank_matrix(r: RankMatrix) -> Involution:
     """Recover the unique involution with the given rank matrix.
 
-    Pair positions are the unit second differences
-    ``r(a,b) - r(a+1,b) - r(a,b-1) + r(a+1,b-1) = 1``.
+    Raises InvalidRankMatrix unless ``r`` passes :func:`is_valid`.
     """
     if not is_valid(r):
         raise InvalidRankMatrix("matrix fails the rank-matrix characterisation")
+    return _recover(r)
+
+
+def _recover(r: RankMatrix) -> Involution:
+    """The involution of ``r``, which the caller has checked with :func:`is_valid`.
+
+    Pair positions are the unit second differences
+    ``r(a,b) - r(a+1,b) - r(a,b-1) + r(a+1,b-1) = 1``.
+    """
     g = _grid(r)
     pairs: list[Pair] = []
     for a in range(1, r.n + 1):
@@ -317,3 +343,40 @@ def _below_bound(bound: RankMatrix) -> Iterator[tuple[tuple[Pair, ...], int]]:
                 used[a] = used[b] = False
 
     return rec(1, 0)
+
+
+def _maximal_below(bound: RankMatrix) -> list[tuple[Pair, ...]]:
+    """The canonical pairs of the maximal involutions below ``bound``.
+
+    Reads :func:`_below_bound` and keeps only its saturated nodes: those to
+    which no free pair can be added within the bound.  Adding a pair raises
+    the rank matrix, so an unsaturated node lies strictly below another node
+    and is not maximal; and as every node lies below a maximal one, the
+    maximal saturated nodes are the maximal nodes.  A pair ``(a, b)`` raises
+    the windows ``(i, j)`` with ``i <= a`` and ``j >= b``, so the pair of
+    the first and the last free point raises a subset of what any other free
+    pair raises, and one fit test on it decides saturation.  The saturated
+    nodes are then filtered as packed ints with the guard-bit test: a
+    candidate below a kept node is dropped, otherwise it replaces the kept
+    nodes below it.  The order of the result is not promised, and ``bound``
+    must have width ``_width(n)``, as for :func:`_below_bound`.
+    """
+    n = bound.n
+    masks = _pair_masks(n)
+    guard = _guard(n, _width(n))
+    cap = bound.packed | guard
+    points = (1 << (n + 1)) - 2  # bit x for each point x in 1..n
+    kept: list[tuple[tuple[Pair, ...], int]] = []
+    for pairs, counts in _below_bound(bound):
+        free = points
+        for a, b in pairs:
+            free ^= (1 << a) | (1 << b)
+        if free & (free - 1):  # two free points or more
+            first, last = (free & -free).bit_length() - 1, free.bit_length() - 1
+            if (cap - counts - masks[first][last]) & guard == guard:
+                continue
+        if any(((top | guard) - counts) & guard == guard for _, top in kept):
+            continue
+        kept = [(p, top) for p, top in kept if ((counts | guard) - top) & guard != guard]
+        kept.append((pairs, counts))
+    return [pairs for pairs, _ in kept]

@@ -15,19 +15,24 @@ from orbitposet import (
     RankMismatch,
     SizeMismatch,
     all_involutions,
+    change_rule_partners,
     closure,
     codim,
     depth,
     dimension,
+    enumerate_tableaux,
+    from_rank_matrix,
     hasse,
     hasse_dot,
     intersect,
+    is_valid,
     leq,
     meet,
     rank_matrix,
     sigma_T,
     sigma_o,
 )
+from orbitposet import poset
 from orbitposet.errors import TooLarge
 from orbitposet.rank_matrices import _below_bound
 
@@ -347,3 +352,62 @@ def test_search_outputs_equal_validated_involutions():
         assert type(m) is Involution
         assert vars(m) == vars(checked)
         assert m == checked and hash(m) == hash(checked) and str(m) == str(checked)
+
+
+def test_intersect_answers_comparable_pairs_and_valid_meets_without_a_search(monkeypatch):
+    comparable = [
+        (a, b) for n in range(1, 7) for a in all_involutions(n) for b in all_involutions(n) if leq(a, b)
+    ]
+    valid_meets = [
+        (sigma_T(t), sigma_T(s))
+        for k in range(5)
+        for t, s in itertools.combinations(enumerate_tableaux(8, k), 2)
+        if is_valid(meet(sigma_T(t), sigma_T(s)))
+    ]
+    assert len(valid_meets) > 100
+
+    def refuse(*_):
+        raise AssertionError("intersect searched the down-set")
+
+    monkeypatch.setattr(poset, "_below_bound", refuse)
+    monkeypatch.setattr(poset, "_maximal_below", refuse)
+    for a, b in comparable:
+        for x, y in ((a, b), (b, a)):
+            result = intersect(x, y, force=True)
+            assert result.components == (a,) and result.meet == rank_matrix(a), (x, y)
+            assert result.irreducible
+    for a, b in valid_meets:
+        result = intersect(a, b)
+        assert result.components == (from_rank_matrix(meet(a, b)),) and result.irreducible
+        assert result.codim == dimension(a) - dimension(result.components[0])
+
+
+def test_a_meet_is_valid_exactly_when_it_is_an_image_to_n7():
+    # the premise of intersect's valid-meet step, across lengths
+    for n in range(1, 8):
+        els = all_involutions(n)
+        images = {rank_matrix(x) for x in els}
+        pairs = valid = 0
+        for a, b in itertools.combinations(els, 2):
+            bound = meet(a, b)
+            assert is_valid(bound) == (bound in images), (a, b)
+            pairs, valid = pairs + 1, valid + (bound in images)
+    assert (pairs, valid) == (26_796, 19_910)
+
+
+# codim-1 pairs of maximal orbits, over every k; the oracle's experiments suite logs n <= 8
+CODIM_ONE_PAIRS = {3: 1, 4: 3, 5: 9, 6: 23, 7: 55, 8: 131, 9: 290}
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_codim_one_intersections_are_the_change_rule_partners_and_irreducible(n):
+    # the paper's theorem, through intersect, for every pair of maximal orbits
+    codim_one = 0
+    for k in range(n // 2 + 1):
+        for t, s in itertools.combinations(enumerate_tableaux(n, k), 2):
+            result = intersect(sigma_T(t), sigma_T(s))
+            partners = s in change_rule_partners(t)
+            assert (result.codim == 1) == partners, (t, s)
+            assert result.irreducible or not partners, (t, s)
+            codim_one += partners
+    assert codim_one == CODIM_ONE_PAIRS[n]

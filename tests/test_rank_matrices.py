@@ -183,6 +183,10 @@ def _tuple_leq(a, b):
     return all(map(le, a.cells, b.cells))
 
 
+def _cell_meet(a, b):
+    return RankMatrix(a.n, tuple(map(min, a.cells, b.cells)))
+
+
 def test_packed_form_round_trips_every_rank_matrix_to_n7():
     for n in range(1, 8):
         for e in all_involutions(n):
@@ -259,8 +263,26 @@ def test_cells_past_the_packing_edge_fall_back_to_tuples():
     ]
     for a, b in itertools.product(mats, repeat=2):
         assert leq(a, b) == _tuple_leq(a, b)
-        low = meet(a, b)
-        assert low.cells == tuple(map(min, a.cells, b.cells))
+        assert meet(a, b) == _cell_meet(a, b)  # the cell minimum, repacked at its own width
+
+
+def test_meet_matches_the_cell_minimum_on_random_matrices():
+    # packed at the narrowest width the minimum is taken per cell on the ints;
+    # equality covers width and packed form, so the result is the repacked minimum
+    draw = random.Random("packed-meet")
+    for n in range(1, 31):
+        cells = n * (n - 1) // 2
+        for _ in range(40):
+            top = draw.choice((1, n // 2, n // 2 + 1, 127, 128, 300))
+            a = RankMatrix(n, tuple(draw.randint(0, top) for _ in range(cells)))
+            b = RankMatrix(n, tuple(draw.randint(0, draw.choice((1, top))) for _ in range(cells)))
+            for x, y in ((a, b), (b, a), (a, a)):
+                low, expected = meet(x, y), _cell_meet(x, y)
+                assert low == expected and hash(low) == hash(expected)
+    for n in (253, 254):
+        e = _random_involution(draw, n, n // 2)
+        f = _random_involution(draw, n, n // 2)
+        assert meet(e, f) == _cell_meet(rank_matrix(e), rank_matrix(f))
 
 
 def _window_counts(e):
