@@ -53,11 +53,20 @@ def _need_n(args) -> int:
     return args.n
 
 
+def _parse_matrix(text: str) -> RankMatrix:
+    """A dense JSON matrix; JSON that does not load is a ParseError."""
+    try:
+        rows = json.loads(text)
+    except ValueError as exc:  # bad JSON, or an integer past int's digit limit
+        raise ParseError(f"bad JSON input: {exc}") from None
+    return RankMatrix.from_rows(rows)
+
+
 def _parse_value(text: str, n: int | None) -> Involution | RankMatrix:
     """An involution (needs n) or a dense JSON matrix."""
     stripped = text.strip()
     if stripped.startswith("["):
-        return RankMatrix.from_rows(json.loads(stripped))
+        return _parse_matrix(stripped)
     if n is None:
         raise ParseError("--n is required for involution input")
     return Involution.parse(stripped, n)
@@ -106,7 +115,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_valid(args) -> int:
     for text in _inputs(args.matrix):
-        r = RankMatrix.from_rows(json.loads(text))
+        r = _parse_matrix(text)
         ok = is_valid(r)
         _emit(args, {"n": r.n, "rank_matrix": r.to_rows(), "valid": ok}, "true" if ok else "false")
     return 0
@@ -114,7 +123,7 @@ def _cmd_valid(args) -> int:
 
 def _cmd_recover(args) -> int:
     for text in _inputs(args.matrix):
-        r = RankMatrix.from_rows(json.loads(text))
+        r = _parse_matrix(text)
         inv = from_rank_matrix(r)
         _emit(args, {"n": r.n, "involution": str(inv)}, str(inv))
     return 0
@@ -491,9 +500,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except OrbitPosetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON input: {exc}", file=sys.stderr)
         return 1
 
 

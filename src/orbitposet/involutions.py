@@ -78,15 +78,6 @@ class Involution:
         moved = {x for p in self.pairs for x in p}
         return tuple(x for x in range(1, self.n + 1) if x not in moved)
 
-    def partner(self, x: int) -> int | None:
-        """The other entry of the pair containing ``x``, or None if fixed."""
-        for a, b in self.pairs:
-            if x == a:
-                return b
-            if x == b:
-                return a
-        return None
-
     def __str__(self) -> str:
         if not self.pairs:
             return "id"
@@ -105,9 +96,11 @@ class Involution:
         matches = list(_PAIR_RE.finditer(compact))
         if not matches or "".join(m.group(0) for m in matches) != compact:
             raise ParseError(f"cannot parse involution from {text!r}")
-        return canonicalize(
-            [(int(m.group(1)), int(m.group(2))) for m in matches], n
-        )
+        try:
+            pairs = [(int(m.group(1)), int(m.group(2))) for m in matches]
+        except ValueError as exc:  # an entry past int's digit limit
+            raise ParseError(f"cannot parse involution from {text!r}") from exc
+        return canonicalize(pairs, n)
 
 
 def _trusted(n: int, pairs: tuple[Pair, ...]) -> Involution:

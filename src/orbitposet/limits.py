@@ -1,11 +1,13 @@
 """Feasibility guards for exhaustive scans.
 
 All-pairs scans grow quadratically in the involution count (764 elements at
-n=8 already), single-pass scans stay cheap up to n=10, and ``intersect``
-enumerates a down-set that reaches tens of thousands of elements at n=12
-(n=14 with seven 2-cycles takes 10-20 s).  Guards can be lifted
-per call (``max_n=...``) or globally through the ``ORBIT_POSET_MAX_N``
-environment variable.
+n=8 already), and single-pass scans stay cheap up to n=10.  ``intersect``
+answers comparable pairs and irreducible meets without a search and
+searches the down-set of a reducible meet only; at n=14 with seven
+2-cycles such a search takes 1-3 s on random pairs of maximal orbits, so
+its guard stays at n=12.  Guards can be lifted per call
+(``max_n=...``) or globally through the ``ORBIT_POSET_MAX_N`` environment
+variable.
 
 ``CACHE_SIZE`` bounds the ``rank_matrix`` and ``dimension`` caches above the
 oracle's working set (1 115 involutions to n = 8) and ``hasse`` at n = 10 (9 496).

@@ -7,9 +7,11 @@ stays within the bound, so the cost follows the size of the answer.  The
 intersection of two closures is the set below the entrywise minimum (meet)
 of the two matrices, and ``intersect`` finds its components in three steps:
 a comparable pair has the lower one as its only component; a meet that is
-itself a valid rank matrix has its own involution as the only component
-(the intersection is irreducible exactly then); and only a reducible meet
-is searched, for its maximal nodes, by ``rank_matrices._maximal_below``.
+itself the rank matrix of an involution has that involution as the only
+component (the intersection is irreducible exactly then), and one pass,
+``rank_matrices._involution_of``, both recognises such a meet and recovers
+its involution; only a reducible meet is searched, for its maximal nodes,
+by ``rank_matrices._maximal_below``.
 The search and the packed form it counts in live in :mod:`.rank_matrices`.
 """
 
@@ -23,9 +25,8 @@ from .moves import cover_moves
 from .rank_matrices import (
     RankMatrix,
     _below_bound,
+    _involution_of,
     _maximal_below,
-    _recover,
-    is_valid,
     leq,
     meet,
     rank_matrix,
@@ -87,8 +88,9 @@ def intersect(
 
     1. if one rank matrix lies below the other, the meet is that matrix and
        its involution is the only component;
-    2. otherwise, if the meet passes :func:`is_valid`, everything below it
-       lies below the involution it recovers to, the only component;
+    2. otherwise, if the meet is the rank matrix of an involution (one pass
+       of ``_involution_of`` decides this and recovers it), everything below
+       the meet lies below that involution, the only component;
     3. otherwise the intersection is reducible, and the components are the
        maximal nodes of the search under the meet (``_maximal_below``).
     """
@@ -106,9 +108,10 @@ def intersect(
         bound, irreducible, components = rb, True, [b]
     else:
         bound = meet(ra, rb)
-        irreducible = is_valid(bound)
+        component = _involution_of(bound)
+        irreducible = component is not None
         if irreducible:
-            components = [_recover(bound)]
+            components = [component]
         else:
             components = sorted(_trusted(a.n, pairs) for pairs in _maximal_below(bound))
     dims = tuple(dimension(c) for c in components)

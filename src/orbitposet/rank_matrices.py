@@ -3,7 +3,11 @@
 The entry ``(i, j)`` of the rank matrix counts the pairs contained in the
 window ``[i, j]``; everything on or below the diagonal is zero.  Matrices of
 equal rank are compared entrywise, and the entrywise order lifted back to
-involutions is the orbit-closure order.
+involutions is the orbit-closure order.  A matrix is the rank matrix of an
+involution exactly when its second differences are all 0 or 1 and its unit
+cells share no point; those cells are the pairs, so recognising a rank
+matrix and recovering its involution are one pass (``_involution_of``),
+which ``is_valid``, ``from_rank_matrix`` and ``poset.intersect`` all read.
 
 A matrix is stored once, as its strict upper triangle packed into one
 integer: cell ``o`` (rows top to bottom, each holding columns ``i+1..n``)
@@ -30,7 +34,7 @@ from operator import le
 from typing import Iterator
 
 from .errors import InvalidRankMatrix, OutOfRange, SizeMismatch
-from .involutions import Involution, Pair, canonicalize
+from .involutions import Involution, Pair, _trusted
 from .limits import CACHE_SIZE
 
 
@@ -205,35 +209,37 @@ def rank_matrix(inv: Involution) -> RankMatrix:
     return RankMatrix._from_packed(inv.n, sum(masks[a][b] for a, b in inv.pairs))
 
 
-def is_valid(r: RankMatrix) -> bool:
-    """Whether ``r`` is the rank matrix of some involution.
+def _involution_of(r: RankMatrix) -> Involution | None:
+    """The involution whose rank matrix is ``r``, or None if there is none.
 
-    Checks the step conditions (each entry grows by 0 or 1 when the window
-    grows by one row or column) and, at every corner (an entry exceeding its
-    three inner neighbours by one), the propagation laws that force the
-    corner to behave like a genuine pair position.
+    Reads the second differences
+    ``d(a, b) = r(a,b) - r(a+1,b) - r(a,b-1) + r(a+1,b-1)`` off the framed
+    grid.  They telescope, ``r(i, j)`` being the sum of ``d(a, b)`` over
+    ``i <= a < b <= j``, and a single pair's matrix has one unit difference
+    at that pair; so ``r`` is the rank matrix of an involution exactly when
+    every ``d`` is 0 or 1 and no two unit cells share a point.  The unit
+    cells are then its pairs, found in canonical order.
     """
     n = r.n
     g = _grid(r)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            v, below, left = g[i][j], g[i + 1][j], g[i][j - 1]
-            if not (below <= v <= below + 1 and left <= v <= left + 1):
-                return False
-            if not v == below + 1 == left + 1 == g[i + 1][j - 1] + 1:
+    used = [False] * (n + 1)
+    pairs: list[Pair] = []
+    for a in range(1, n + 1):
+        row, below = g[a], g[a + 1]
+        for b in range(a + 1, n + 1):
+            d = row[b] - below[b] - row[b - 1] + below[b - 1]
+            if d == 0:
                 continue
-            # (i, j) is a corner: row i must split from row i+1 exactly at j,
-            # column j from column j-1 exactly at i, and j must start no pair
-            # while i ends none.
-            for c in range(1, n + 1):
-                if (
-                    g[i][c] != g[i + 1][c] + (c >= j)
-                    or g[c][j] != g[c][j - 1] + (c <= i)
-                    or g[j][c] != g[j + 1][c]
-                    or g[c][i] != g[c][i - 1]
-                ):
-                    return False
-    return True
+            if d != 1 or used[a] or used[b]:
+                return None
+            used[a] = used[b] = True
+            pairs.append((a, b))
+    return _trusted(n, tuple(pairs))
+
+
+def is_valid(r: RankMatrix) -> bool:
+    """Whether ``r`` is the rank matrix of some involution (see :func:`_involution_of`)."""
+    return _involution_of(r) is not None
 
 
 def _as_matrix(value: Involution | RankMatrix) -> RankMatrix:
@@ -284,24 +290,10 @@ def from_rank_matrix(r: RankMatrix) -> Involution:
 
     Raises InvalidRankMatrix unless ``r`` passes :func:`is_valid`.
     """
-    if not is_valid(r):
+    inv = _involution_of(r)
+    if inv is None:
         raise InvalidRankMatrix("matrix fails the rank-matrix characterisation")
-    return _recover(r)
-
-
-def _recover(r: RankMatrix) -> Involution:
-    """The involution of ``r``, which the caller has checked with :func:`is_valid`.
-
-    Pair positions are the unit second differences
-    ``r(a,b) - r(a+1,b) - r(a,b-1) + r(a+1,b-1) = 1``.
-    """
-    g = _grid(r)
-    pairs: list[Pair] = []
-    for a in range(1, r.n + 1):
-        for b in range(a + 1, r.n + 1):
-            if g[a][b] - g[a + 1][b] - g[a][b - 1] + g[a + 1][b - 1] == 1:
-                pairs.append((a, b))
-    return canonicalize(pairs, r.n)
+    return inv
 
 
 def _below_bound(bound: RankMatrix) -> Iterator[tuple[tuple[Pair, ...], int]]:

@@ -245,6 +245,8 @@ def one_error_line(err):
         "[[0,true],[0,0]]",
         "[[0,1.0],[0,0]]",
         "[[0,1],[null,0]]",
+        "[[0,1",
+        pytest.param("[[0,%s],[0,0]]" % ("1" * 5000), id="past-int-digit-limit"),
     ],
 )
 def test_malformed_matrices_exit_one(capsys, command, matrix):
@@ -286,6 +288,15 @@ def test_parse_errors_exit_one(capsys):
     assert code == 1 and "error:" in err
     code, _, err = run(capsys, "codim", "(1,3)", "(1,2)", "--n", "3")
     assert code == 1 and "error:" in err
+    huge = "1" * 5000  # past int's digit limit
+    for argv in (
+        ["dim", f"(1,{huge})", "--n", "4"],
+        ["leq", f"(1,{huge})", "(1,2)", "--n", "4"],
+        ["leq", f"[[0,{huge}],[0,0]]", "[[0,1],[0,0]]"],
+        ["leq", "[[0,1],[0,0]", "[[0,1],[0,0]]"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and one_error_line(err), (argv[0], err)
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 1

@@ -338,12 +338,13 @@ def test_search_matches_the_cell_count_reference(n):
 
 
 def test_search_outputs_equal_validated_involutions():
-    # closure and intersect skip the constructor's checks; their output must not show it
+    # closure, intersect and recovery skip the constructor's checks; their output must not show it
     draw = random.Random("trusted-outputs")
     outputs = []
     for n in range(1, 8):
         for e in all_involutions(n):
             outputs.extend(closure(e))
+            outputs.append(from_rank_matrix(rank_matrix(e)))
         for _ in range(20):
             a, b = draw.choice(all_involutions(n)), draw.choice(all_involutions(n))
             outputs.extend(intersect(a, b, force=True).components)

@@ -154,6 +154,10 @@ def test_recovery_rejects_invalid():
     joint = meet(rank_matrix(inv("(1,5)(3,4)", 5)), rank_matrix(inv("(2,4)(3,5)", 5)))
     with pytest.raises(InvalidRankMatrix):
         from_rank_matrix(joint)
+    wide = RankMatrix.from_rows([[0, 300], [0, 0]])  # one second difference of 300
+    assert not is_valid(wide)
+    with pytest.raises(InvalidRankMatrix):
+        from_rank_matrix(wide)
 
 
 def test_validity_soundness_small():
@@ -161,7 +165,7 @@ def test_validity_soundness_small():
     # conversely; candidates generated independently of the library predicate
     from orbitposet.oracle import _step_matrices
 
-    for n in range(1, 6):
+    for n in range(1, 7):
         images = {rank_matrix(e) for e in all_involutions(n)}
         valid = {r for r in _step_matrices(n) if is_valid(r)}
         assert images == valid
