@@ -2,17 +2,26 @@
 
 Text output is deterministic across runs; ``--json`` switches every command
 to a structured form (documented in ``schemas/cli_output.schema.json``).
-Commands taking a single involution or tableau accept ``-`` to read one
-input per line from stdin and emit one output line per input.
 
-Exit codes: 0 success, 1 parse/validation error, 2 verification failure.
+The commands of one involution, tableau or matrix are rows of ``COMMANDS``;
+``_run_command`` reads, parses and echoes their input and prints their answer.
+Each of them accepts ``-`` to read one input per line from stdin and then
+prints exactly one line per input: a list answer on one line separated by
+spaces (``none`` when it is empty), a rank matrix as one JSON array (the form
+``valid -`` and ``recover -`` read), and with ``--json`` one JSON object.
+
+Exit codes: 0 success, 1 parse/validation error or a closed output pipe,
+2 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .errors import OrbitPosetError, ParseError
 from .involutions import (
@@ -62,145 +71,154 @@ def _parse_matrix(text: str) -> RankMatrix:
     return RankMatrix.from_rows(rows)
 
 
-def _parse_value(text: str, n: int | None) -> Involution | RankMatrix:
-    """An involution (needs n) or a dense JSON matrix."""
+def _parse_value(text: str, args) -> Involution | RankMatrix:
+    """An involution (needs --n) or a dense JSON matrix."""
     stripped = text.strip()
     if stripped.startswith("["):
         return _parse_matrix(stripped)
-    if n is None:
-        raise ParseError("--n is required for involution input")
-    return Involution.parse(stripped, n)
+    return Involution.parse(stripped, _need_n(args))
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: dict, answer, batch: bool = False) -> None:
+    """Print one answer: ``payload`` under ``--json``, else ``answer`` as text.
+
+    A list answer prints one line per item, a rank matrix its aligned grid,
+    anything else its ``str``.  ``batch`` (input read from stdin) keeps every
+    answer to one line.
+    """
     if args.json:
         print(json.dumps(payload, sort_keys=True))
+    elif isinstance(answer, RankMatrix):
+        print(json.dumps(answer.to_rows()) if batch else answer.format_grid())
+    elif not isinstance(answer, list):
+        print(answer)
+    elif batch:
+        print(" ".join(answer) or "none")
     else:
-        print(text)
+        for line in answer:
+            print(line)
 
 
 # ---------------------------------------------------------------------------
-# Handlers
+# Single-input commands
 # ---------------------------------------------------------------------------
 
-def _cmd_dim(args) -> int:
-    n = _need_n(args)
-    for text in _inputs(args.involution):
-        inv = Involution.parse(text, n)
-        _emit(args, {"involution": str(inv), "n": n, "dim": dimension(inv)}, str(dimension(inv)))
+class _Command(NamedTuple):
+    name: str
+    help: str
+    kind: str  # "involution", "tableau" or "matrix"
+    answer: Callable  # (value, args) -> (JSON fields, text answer for _emit)
+
+
+def _reader(kind: str, args):
+    """The parser of one input of ``kind`` and the fields that echo it."""
+    if kind == "involution":
+        n = _need_n(args)
+        return (lambda text: Involution.parse(text, n)), (lambda inv: {"involution": str(inv), "n": n})
+    if kind == "tableau":
+        return TwoColumnTableau.parse, lambda tab: {"tableau": str(tab)}
+    return _parse_matrix, lambda r: {"n": r.n}
+
+
+def _run_command(command: _Command, args) -> int:
+    parse, echo = _reader(command.kind, args)
+    for text in _inputs(args.input):
+        value = parse(text)
+        fields, answer = command.answer(value, args)
+        _emit(args, {**echo(value), **fields}, answer, batch=args.input == "-")
     return 0
 
 
-def _cmd_q(args) -> int:
-    n = _need_n(args)
-    for text in _inputs(args.involution):
-        inv = Involution.parse(text, n)
-        values = q_values(inv)
-        _emit(args, {"involution": str(inv), "n": n, "q": values}, ",".join(map(str, values)))
-    return 0
+def _field(key: str, value, text=str, **fields):
+    """The answer ``{key: value, **fields}``, printed as ``text(value)``."""
+    return {key: value, **fields}, text(value)
 
 
-def _cmd_rank(args) -> int:
-    n = _need_n(args)
-    for text in _inputs(args.involution):
-        inv = Involution.parse(text, n)
-        r = rank_matrix(inv)
-        _emit(
-            args,
-            {"involution": str(inv), "n": n, "rank_matrix": r.to_rows()},
-            r.format_grid(),
-        )
-    return 0
+def _names(key: str, members):
+    """A sorted list answer, printed one member per line."""
+    names = [str(m) for m in sorted(members)]
+    return {key: names}, names
 
 
-def _cmd_valid(args) -> int:
-    for text in _inputs(args.matrix):
-        r = _parse_matrix(text)
-        ok = is_valid(r)
-        _emit(args, {"n": r.n, "rank_matrix": r.to_rows(), "valid": ok}, "true" if ok else "false")
-    return 0
+def _moves(moves):
+    """Moves with their provenance; the text lists the distinct targets."""
+    fields = {
+        "moves": [
+            {"kind": m.kind, "source": [list(p) for p in m.source], "target": str(m.target)}
+            for m in moves
+        ]
+    }
+    return fields, [str(t) for t in sorted({m.target for m in moves})]
 
 
-def _cmd_recover(args) -> int:
-    for text in _inputs(args.matrix):
-        r = _parse_matrix(text)
-        inv = from_rank_matrix(r)
-        _emit(args, {"n": r.n, "involution": str(inv)}, str(inv))
-    return 0
+def _rank(inv: Involution, args):
+    r = rank_matrix(inv)
+    return {"rank_matrix": r.to_rows()}, r
 
+
+def _tab2inv(tab: TwoColumnTableau, args):
+    inv = sigma_T(tab)
+    return {"involution": str(inv), "n": tab.n, "dim": dimension(inv)}, str(inv)
+
+
+def _inv2tab(inv: Involution, args):
+    tab = tableau_of(inv)
+    name = None if tab is None else str(tab)
+    return {"tableau": name}, name or "none"
+
+
+# Rows look library names up when they run, never when this module loads, so
+# a tracer that rebinds this module's globals sees every call.
+COMMANDS = (
+    _Command("dim", "orbit dimension of an involution", "involution",
+             lambda inv, args: _field("dim", dimension(inv))),
+    _Command("q", "per-pair interleaving statistic", "involution",
+             lambda inv, args: _field("q", q_values(inv), lambda q: ",".join(map(str, q)))),
+    _Command("rank", "rank matrix of an involution", "involution", _rank),
+    _Command("valid", "test a dense matrix for rank-matrix validity", "matrix",
+             lambda r, args: _field("valid", is_valid(r), json.dumps, rank_matrix=r.to_rows())),
+    _Command("recover", "recover the involution of a valid rank matrix", "matrix",
+             lambda r, args: _field("involution", str(from_rank_matrix(r)))),
+    _Command("desc", "one-level degenerations (same cycle count)", "involution",
+             lambda inv, args: _moves(descendant_moves(inv))),
+    _Command("anc", "one-level ascents (same cycle count)", "involution",
+             lambda inv, args: _moves(ancestor_moves(inv))),
+    _Command("cover", "cover relation below an involution (all lengths)", "involution",
+             lambda inv, args: _moves(cover_moves(inv))),
+    _Command("closure", "everything below an involution", "involution",
+             lambda inv, args: _names("closure", closure(inv))),
+    _Command("depth", "chain length down to the minimal k-pair element", "involution",
+             lambda inv, args: _field("depth", depth(inv, args.k), k=args.k)),
+    _Command("tab2inv", "maximal-orbit involution of a two-column tableau", "tableau", _tab2inv),
+    _Command("inv2tab", "tableau of a maximal-dimension involution", "involution", _inv2tab),
+    _Command("partners", "codimension-one partner tableaux", "tableau",
+             lambda tab, args: _names("partners", change_rule_partners(tab))),
+)
+
+_INPUT_HELP = {
+    "involution": "e.g. '(1,5)(3,4)' (identity: id)",
+    "tableau": "e.g. '1,2,3,6|4,5,7,8'",
+    "matrix": "dense JSON array, e.g. '[[0,1],[0,0]]'",
+}
+
+
+# ---------------------------------------------------------------------------
+# Commands of two inputs or none
+# ---------------------------------------------------------------------------
 
 def _cmd_leq(args) -> int:
-    a = _parse_value(args.a, args.n)
-    b = _parse_value(args.b, args.n)
+    a = _parse_value(args.a, args)
+    b = _parse_value(args.b, args)
     ok = leq(a, b)
-    _emit(args, {"a": args.a.strip(), "b": args.b.strip(), "leq": ok}, "true" if ok else "false")
+    _emit(args, {"a": args.a.strip(), "b": args.b.strip(), "leq": ok}, json.dumps(ok))
     return 0
 
 
 def _cmd_meet(args) -> int:
-    a = _parse_value(args.a, args.n)
-    b = _parse_value(args.b, args.n)
+    a = _parse_value(args.a, args)
+    b = _parse_value(args.b, args)
     r = meet(a, b)
-    _emit(
-        args,
-        {"a": args.a.strip(), "b": args.b.strip(), "n": r.n, "rank_matrix": r.to_rows()},
-        r.format_grid(),
-    )
-    return 0
-
-
-def _moves_command(args, generator) -> int:
-    n = _need_n(args)
-    for text in _inputs(args.involution):
-        inv = Involution.parse(text, n)
-        moves = generator(inv)
-        targets = sorted({m.target for m in moves})
-        if args.json:
-            payload = {
-                "involution": str(inv),
-                "n": n,
-                "moves": [
-                    {
-                        "kind": m.kind,
-                        "source": [list(p) for p in m.source],
-                        "target": str(m.target),
-                    }
-                    for m in moves
-                ],
-            }
-            print(json.dumps(payload, sort_keys=True))
-        elif args.involution == "-":
-            print(" ".join(str(t) for t in targets))
-        else:
-            for t in targets:
-                print(str(t))
-    return 0
-
-
-def _cmd_desc(args) -> int:
-    return _moves_command(args, descendant_moves)
-
-
-def _cmd_anc(args) -> int:
-    return _moves_command(args, ancestor_moves)
-
-
-def _cmd_cover(args) -> int:
-    return _moves_command(args, cover_moves)
-
-
-def _cmd_closure(args) -> int:
-    n = _need_n(args)
-    for text in _inputs(args.involution):
-        inv = Involution.parse(text, n)
-        members = sorted(closure(inv))
-        if args.json:
-            print(json.dumps({"involution": str(inv), "n": n, "closure": [str(m) for m in members]}, sort_keys=True))
-        elif args.involution == "-":
-            print(" ".join(str(m) for m in members))
-        else:
-            for m in members:
-                print(str(m))
+    _emit(args, {"a": args.a.strip(), "b": args.b.strip(), "n": r.n, "rank_matrix": r.to_rows()}, r)
     return 0
 
 
@@ -209,23 +227,20 @@ def _cmd_intersect(args) -> int:
     a = Involution.parse(args.a, n)
     b = Involution.parse(args.b, n)
     result = intersect(a, b, force=args.force, max_n=args.max_n)
-    outside = args.force and a.length != b.length
-    if args.json:
-        payload = result.to_json_dict()
-        if outside:
-            payload["note"] = "outside theorem scope"
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-    print("meet:")
-    print(result.meet.format_grid())
-    print(f"irreducible: {'true' if result.irreducible else 'false'}")
-    print("components:")
-    for comp, d in zip(result.components, result.component_dims):
-        print(f"  {comp} dim {d}")
-    print(f"codim: {result.codim}")
-    print(f"equidimensional: {'true' if result.equidimensional else 'false'}")
-    if outside:
-        print("note: outside theorem scope")
+    payload = result.to_json_dict()
+    lines = [
+        "meet:",
+        result.meet.format_grid(),
+        f"irreducible: {json.dumps(result.irreducible)}",
+        "components:",
+        *(f"  {comp} dim {d}" for comp, d in zip(result.components, result.component_dims)),
+        f"codim: {result.codim}",
+        f"equidimensional: {json.dumps(result.equidimensional)}",
+    ]
+    if args.force and a.length != b.length:
+        payload["note"] = "outside theorem scope"
+        lines.append("note: outside theorem scope")
+    _emit(args, payload, lines)
     return 0
 
 
@@ -234,16 +249,7 @@ def _cmd_codim(args) -> int:
     upper = Involution.parse(args.upper, n)
     lower = Involution.parse(args.lower, n)
     value = codim(upper, lower)
-    _emit(args, {"upper": str(upper), "lower": str(lower), "n": n, "codim": value}, str(value))
-    return 0
-
-
-def _cmd_depth(args) -> int:
-    n = _need_n(args)
-    for text in _inputs(args.involution):
-        inv = Involution.parse(text, n)
-        value = depth(inv, args.k or 0)
-        _emit(args, {"involution": str(inv), "n": n, "k": args.k or 0, "depth": value}, str(value))
+    _emit(args, {"upper": str(upper), "lower": str(lower), "n": n, "codim": value}, value)
     return 0
 
 
@@ -252,58 +258,12 @@ def _cmd_hasse(args) -> int:
         print(hasse_dot(args.n, args.k, args.max_n))
         return 0
     edges = hasse(args.n, args.k, args.max_n)
-    if args.json:
-        payload = {
-            "n": args.n,
-            "k": args.k,
-            "edges": [
-                {"upper": str(e.upper), "lower": str(e.lower), "kind": e.kind}
-                for e in edges
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True))
+    if args.json:  # built only when asked for: 56 068 edges at n = 10
+        edges = [{"upper": str(e.upper), "lower": str(e.lower), "kind": e.kind} for e in edges]
+        print(json.dumps({"n": args.n, "k": args.k, "edges": edges}, sort_keys=True))
         return 0
     for e in edges:
         print(f"{e.upper} {e.lower} {e.kind}")
-    return 0
-
-
-def _cmd_tab2inv(args) -> int:
-    for text in _inputs(args.tableau):
-        tab = TwoColumnTableau.parse(text)
-        inv = sigma_T(tab)
-        _emit(
-            args,
-            {"tableau": str(tab), "involution": str(inv), "n": tab.n, "dim": dimension(inv)},
-            str(inv),
-        )
-    return 0
-
-
-def _cmd_inv2tab(args) -> int:
-    n = _need_n(args)
-    for text in _inputs(args.involution):
-        inv = Involution.parse(text, n)
-        tab = tableau_of(inv)
-        _emit(
-            args,
-            {"involution": str(inv), "n": n, "tableau": None if tab is None else str(tab)},
-            "none" if tab is None else str(tab),
-        )
-    return 0
-
-
-def _cmd_partners(args) -> int:
-    for text in _inputs(args.tableau):
-        tab = TwoColumnTableau.parse(text)
-        partners = sorted(change_rule_partners(tab))
-        if args.json:
-            print(json.dumps({"tableau": str(tab), "partners": [str(p) for p in partners]}, sort_keys=True))
-        elif args.tableau == "-":
-            print(" ".join(str(p) for p in partners) or "none")
-        else:
-            for p in partners:
-                print(str(p))
     return 0
 
 
@@ -311,11 +271,8 @@ def _cmd_change(args) -> int:
     tab = TwoColumnTableau.parse(args.tableau)
     arr = change(tab, args.i, args.j)
     ok = arr.is_tableau()
-    if args.json:
-        print(json.dumps({"tableau": str(tab), "i": args.i, "j": args.j, "array": str(arr), "is_tableau": ok}, sort_keys=True))
-    else:
-        print(str(arr))
-        print(f"is_tableau: {'true' if ok else 'false'}")
+    payload = {"tableau": str(tab), "i": args.i, "j": args.j, "array": str(arr), "is_tableau": ok}
+    _emit(args, payload, [str(arr), f"is_tableau: {json.dumps(ok)}"])
     return 0
 
 
@@ -323,28 +280,23 @@ def _cmd_rs_witness(args) -> int:
     t_tab = TwoColumnTableau.parse(args.t)
     s_tab = TwoColumnTableau.parse(args.s)
     witness = find_rs_witness(t_tab, s_tab)
-    if args.json:
-        payload = {
-            "t": str(t_tab),
-            "s": str(s_tab),
-            "witness": None if witness is None else {"p": str(witness[0]), "m": witness[1]},
-        }
-        print(json.dumps(payload, sort_keys=True))
-    elif witness is None:
-        print("none")
-    else:
-        print(f"P={witness[0]} m={witness[1]}")
+    payload = {
+        "t": str(t_tab),
+        "s": str(s_tab),
+        "witness": None if witness is None else {"p": str(witness[0]), "m": witness[1]},
+    }
+    _emit(args, payload, "none" if witness is None else f"P={witness[0]} m={witness[1]}")
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     n = _need_n(args)
-    members = list(enumerate_involutions(n, args.k))
+    members = enumerate_involutions(n, args.k)
     if args.json:
         print(json.dumps({"n": n, "k": args.k, "involutions": [str(m) for m in members]}, sort_keys=True))
     else:
-        for m in members:
-            print(str(m))
+        for m in members:  # printed as generated, so memory stays flat and a closed pipe stops it
+            print(m)
     return 0
 
 
@@ -355,24 +307,17 @@ def _cmd_verify(args) -> int:
         reports = [verify_suite(args.suite, args.n, args.k, args.max_n)]
     else:
         raise ParseError("pass --suite NAME or --all")
-    if args.json:
-        payload = {
-            "suites": [r.to_json_dict() for r in reports],
-            "passed": all(r.passed for r in reports),
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            print(
-                f"suite {r.suite}: {status} "
-                f"({r.checks_run} checks, {len(r.failures)} failures, {r.elapsed:.2f}s) [n<={r.n_max}]"
-            )
-            for note in r.notes:
-                print(f"  note: {note}")
-            for failure in r.failures:
-                print(f"  failure: {failure}")
-    return 0 if all(r.passed for r in reports) else 2
+    passed = all(r.passed for r in reports)
+    lines = []
+    for r in reports:
+        lines.append(
+            f"suite {r.suite}: {'PASS' if r.passed else 'FAIL'} "
+            f"({r.checks_run} checks, {len(r.failures)} failures, {r.elapsed:.2f}s) [n<={r.n_max}]"
+        )
+        lines += [f"  note: {note}" for note in r.notes]
+        lines += [f"  failure: {failure}" for failure in r.failures]
+    _emit(args, {"suites": [r.to_json_dict() for r in reports], "passed": passed}, lines)
+    return 0 if passed else 2
 
 
 # ---------------------------------------------------------------------------
@@ -393,23 +338,13 @@ def build_parser() -> _Parser:
         p.add_argument("--json", action="store_true", help="structured output")
         return p
 
-    p = add("dim", _cmd_dim, "orbit dimension of an involution")
-    p.add_argument("involution")
-    p.add_argument("--n", type=int)
-
-    p = add("q", _cmd_q, "per-pair interleaving statistic")
-    p.add_argument("involution")
-    p.add_argument("--n", type=int)
-
-    p = add("rank", _cmd_rank, "rank matrix of an involution")
-    p.add_argument("involution")
-    p.add_argument("--n", type=int)
-
-    p = add("valid", _cmd_valid, "test a dense matrix for rank-matrix validity")
-    p.add_argument("matrix", help="dense JSON array, e.g. '[[0,1],[0,0]]'")
-
-    p = add("recover", _cmd_recover, "recover the involution of a valid rank matrix")
-    p.add_argument("matrix", help="dense JSON array")
+    for command in COMMANDS:
+        p = add(command.name, partial(_run_command, command), command.help)
+        p.add_argument("input", metavar=command.kind,
+                       help=f"{_INPUT_HELP[command.kind]}, or - for one per line on stdin")
+        if command.kind == "involution":
+            p.add_argument("--n", type=int)
+    sub.choices["depth"].add_argument("--k", type=int, default=0)
 
     p = add("leq", _cmd_leq, "closure-order comparison (involutions or matrices)")
     p.add_argument("a")
@@ -419,22 +354,6 @@ def build_parser() -> _Parser:
     p = add("meet", _cmd_meet, "entrywise minimum of two rank matrices")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--n", type=int)
-
-    p = add("desc", _cmd_desc, "one-level degenerations (same cycle count)")
-    p.add_argument("involution")
-    p.add_argument("--n", type=int)
-
-    p = add("anc", _cmd_anc, "one-level ascents (same cycle count)")
-    p.add_argument("involution")
-    p.add_argument("--n", type=int)
-
-    p = add("cover", _cmd_cover, "cover relation below an involution (all lengths)")
-    p.add_argument("involution")
-    p.add_argument("--n", type=int)
-
-    p = add("closure", _cmd_closure, "everything below an involution")
-    p.add_argument("involution")
     p.add_argument("--n", type=int)
 
     p = add("intersect", _cmd_intersect, "decompose the intersection of two closures")
@@ -449,26 +368,11 @@ def build_parser() -> _Parser:
     p.add_argument("lower")
     p.add_argument("--n", type=int)
 
-    p = add("depth", _cmd_depth, "chain length down to the minimal k-pair element")
-    p.add_argument("involution")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int, default=0)
-
     p = add("hasse", _cmd_hasse, "cover edges of the closure order")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--dot", action="store_true", help="emit DOT")
     p.add_argument("--max-n", type=int, dest="max_n", help="raise the feasibility guard")
-
-    p = add("tab2inv", _cmd_tab2inv, "maximal-orbit involution of a two-column tableau")
-    p.add_argument("tableau")
-
-    p = add("inv2tab", _cmd_inv2tab, "tableau of a maximal-dimension involution")
-    p.add_argument("involution")
-    p.add_argument("--n", type=int)
-
-    p = add("partners", _cmd_partners, "codimension-one partner tableaux")
-    p.add_argument("tableau")
 
     p = add("change", _cmd_change, "swap one entry between the two columns")
     p.add_argument("tableau")
@@ -497,9 +401,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's exit flush
+        return code
     except OrbitPosetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader left; what is still buffered goes to devnull when Python exits
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output pipe closed by the reader", file=sys.stderr)
         return 1
 
 

@@ -1,11 +1,17 @@
 """Command-line surface: text output, JSON output against the shipped schema."""
 
+import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import orbitposet
 from orbitposet.cli import main
 from orbitposet.oracle import suite_names
 
@@ -270,15 +276,73 @@ def test_non_integer_guard_environment_exits_one(capsys, monkeypatch):
     assert one_error_line(err) and "ORBIT_POSET_MAX_N" in err
 
 
-def test_stdin_batch(capsys, monkeypatch):
-    import io
+# Three inputs per single-input command, one with an empty answer where one exists.
+STDIN_INPUTS = {
+    "dim": ["id", "(1,2)", "(1,4)(2,3)"],
+    "q": ["id", "(1,3)", "(1,4)(2,3)"],
+    "rank": ["id", "(1,3)", "(1,4)(2,3)"],
+    "valid": ["[[0,1],[0,0]]", "[[0,2],[0,0]]", "[[0,0,1],[0,0,1],[0,0,0]]"],
+    "recover": ["[[0,1],[0,0]]", "[[0,0],[0,0]]", "[[0,0,1],[0,0,1],[0,0,0]]"],
+    "desc": ["id", "(1,2)", "(1,4)(2,3)"],
+    "anc": ["id", "(1,3)", "(1,3)(2,4)"],
+    "cover": ["id", "(1,2)", "(1,4)(2,3)"],
+    "closure": ["id", "(1,2)", "(1,3)(2,4)"],
+    "depth": ["id", "(1,2)", "(1,4)(2,3)"],
+    "tab2inv": ["1", "1,2|3,4", "1,2,3,6|4,5,7,8"],
+    "inv2tab": ["id", "(1,3)", "(1,4)(2,3)"],
+    "partners": ["1", "1,2|3,4", "1,2,3|4,5"],
+}
+INVOLUTION_INPUT = {"dim", "q", "rank", "desc", "anc", "cover", "closure", "depth", "inv2tab"}
 
-    monkeypatch.setattr("sys.stdin", io.StringIO("(1,2)\n(1,3)\n"))
-    code, out, _ = run(capsys, "dim", "-", "--n", "3")
-    assert code == 0 and out.splitlines() == ["2", "1"]
-    monkeypatch.setattr("sys.stdin", io.StringIO("(1,2)\n(2,3)\n"))
-    code, out, _ = run(capsys, "desc", "-", "--n", "3")
-    assert code == 0 and out.splitlines() == ["(1,3)", "(1,3)"]
+
+def run_stdin(capsys, monkeypatch, command, lines, *argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{line}\n" for line in lines)))
+    return run(capsys, command, "-", *argv)
+
+
+@pytest.mark.parametrize("command", sorted(STDIN_INPUTS))
+def test_stdin_batch(capsys, monkeypatch, command):
+    inputs = STDIN_INPUTS[command]
+    n = ["--n", "4"] if command in INVOLUTION_INPUT else []
+    code, out, err = run_stdin(capsys, monkeypatch, command, inputs, *n)
+    assert code == 0, err
+    lines = out.splitlines()
+    assert len(lines) == 3
+    code, out, err = run_stdin(capsys, monkeypatch, command, inputs, *n, "--json")
+    assert code == 0, err
+    json_lines = out.splitlines()
+    assert len(json_lines) == 3
+    for text, line, json_line in zip(inputs, lines, json_lines):
+        _, single, _ = run(capsys, command, text, *n)
+        _, single_json, _ = run(capsys, command, text, *n, "--json")
+        assert json_line + "\n" == single_json
+        check_schema(command, json.loads(json_line))
+        if command == "rank":
+            assert json.loads(line) == json.loads(single_json)["rank_matrix"]
+        elif len(single.splitlines()) != 1:  # a list answer on one line; none when empty
+            assert line == (" ".join(single.splitlines()) or "none")
+        else:
+            assert line + "\n" == single
+    if command == "rank":  # rank - | recover - gives the inputs back
+        code, out, _ = run_stdin(capsys, monkeypatch, "recover", lines)
+        assert code == 0 and out.splitlines() == inputs
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "--n", "10"], ["hasse", "--n", "8"]], ids=["enumerate", "hasse"])
+def test_closed_output_pipe_exits_one(argv):
+    # more output than a pipe holds, so the writer meets the closed pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(orbitposet.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbitposet", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert one_error_line(err.decode()) and b"Traceback" not in err, err
 
 
 def test_parse_errors_exit_one(capsys):
