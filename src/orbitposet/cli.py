@@ -5,10 +5,11 @@ to a structured form (documented in ``schemas/cli_output.schema.json``).
 
 The commands of one involution, tableau or matrix are rows of ``COMMANDS``;
 ``_run_command`` reads, parses and echoes their input and prints their answer.
-Each of them accepts ``-`` to read one input per line from stdin and then
-prints exactly one line per input: a list answer on one line separated by
-spaces (``none`` when it is empty), a rank matrix as one JSON array (the form
-``valid -`` and ``recover -`` read), and with ``--json`` one JSON object.
+Each of them accepts ``-`` to read one input per line from stdin and
+prints exactly one line per input as soon as it is read: a list answer on one
+line separated by spaces, ``none`` for any empty answer, a rank matrix as one
+JSON array (the form ``valid -`` and ``recover -`` read), and with ``--json``
+one JSON object.
 
 Exit codes: 0 success, 1 parse/validation error or a closed output pipe,
 2 verification failure.
@@ -21,7 +22,7 @@ import json
 import os
 import sys
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import OrbitPosetError, ParseError
 from .involutions import (
@@ -50,9 +51,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _inputs(value: str) -> list[str]:
+def _inputs(value: str) -> Iterable[str]:
+    """The one input ``value``, or for ``-`` each non-blank stdin line as it is read."""
     if value == "-":
-        return [line.strip() for line in sys.stdin if line.strip()]
+        return (line.strip() for line in sys.stdin if line.strip())
     return [value]
 
 
@@ -84,19 +86,19 @@ def _emit(args, payload: dict, answer, batch: bool = False) -> None:
 
     A list answer prints one line per item, a rank matrix its aligned grid,
     anything else its ``str``.  ``batch`` (input read from stdin) keeps every
-    answer to one line.
+    answer to one line, ``none`` when it is empty.
     """
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     elif isinstance(answer, RankMatrix):
         print(json.dumps(answer.to_rows()) if batch else answer.format_grid())
-    elif not isinstance(answer, list):
-        print(answer)
     elif batch:
-        print(" ".join(answer) or "none")
-    else:
+        print((" ".join(answer) if isinstance(answer, list) else str(answer)) or "none")
+    elif isinstance(answer, list):
         for line in answer:
             print(line)
+    else:
+        print(answer)
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +124,13 @@ def _reader(kind: str, args):
 
 def _run_command(command: _Command, args) -> int:
     parse, echo = _reader(command.kind, args)
+    batch = args.input == "-"
     for text in _inputs(args.input):
         value = parse(text)
         fields, answer = command.answer(value, args)
-        _emit(args, {**echo(value), **fields}, answer, batch=args.input == "-")
+        _emit(args, {**echo(value), **fields}, answer, batch)
+        if batch:  # answer each line before the next one is read
+            sys.stdout.flush()
     return 0
 
 

@@ -189,11 +189,6 @@ def project(inv: Involution, i: int, j: int) -> Involution:
     return Involution(j - i + 1, shifted)
 
 
-def window_support(inv: Involution, i: int, j: int) -> frozenset[int]:
-    """Support of the pairs contained in ``[i, j]`` (original labels)."""
-    return frozenset(x for a, b in inv.pairs if i <= a and b <= j for x in (a, b))
-
-
 def delete_pair(inv: Involution, s: int) -> Involution:
     """Remove the s-th pair (1-based, canonical order)."""
     if not 1 <= s <= inv.length:

@@ -1,12 +1,13 @@
 """Minimal degeneration moves between involutions of equal cycle count.
 
-Four families of moves step exactly one level down (or up) in the closure
-order: shifting one endpoint of a pair vertically or horizontally past the
-nearest usable fixed point (``move_down``/``move_up``/``move_right``/
-``move_left``), uncrossing two sequential pairs (``cross_down`` and its
-inverse ``cross_up``), and exchanging the first entries of two nested pairs
-(``swap_down``/``swap_up``).  Down-moves produce strictly smaller elements,
-up-moves strictly bigger ones.
+Three rules step exactly one level down or up in the closure order, each read
+in two directions under one blocking condition, so the directions invert each
+other.  ``_shift`` moves an entry of a pair onto the nearest fixed point, away
+from the other entry (``move_down``, ``move_right``) or towards it
+(``move_up``, ``move_left``).  ``_cross_moves`` makes two sequential pairs
+cross (``cross_down``) or two crossing pairs sequential (``cross_up``).
+``_swap_moves`` exchanges the second entries of two nested pairs
+(``swap_down``) or of two crossing ones (``swap_up``).
 
 ``descendants``/``ancestors`` collect the same-length elements one level
 away.  The closure order is graded by orbit dimension, so ``cover`` is the
@@ -17,9 +18,10 @@ full cover relation of the closure order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import IndexOutOfRange
-from .involutions import Involution, Pair, delete_pair, dimension, window_support
+from .involutions import Involution, Pair, delete_pair, dimension
 
 KIND_MOVE_DOWN = "move_down"
 KIND_MOVE_UP = "move_up"
@@ -30,6 +32,8 @@ KIND_CROSS_UP = "cross_up"
 KIND_SWAP_DOWN = "swap_down"
 KIND_SWAP_UP = "swap_up"
 KIND_DELETE = "delete"
+
+_PairedMove = tuple[tuple[Pair, Pair], Involution]  # the source pairs of a two-pair move, its target
 
 
 @dataclass(frozen=True, order=True)
@@ -49,153 +53,73 @@ def _pair_at(inv: Involution, s: int) -> Pair:
 
 def _replace(inv: Involution, changes: dict[int, Pair]) -> Involution:
     """Rewrite the pairs at the given 0-based slots and recanonicalise."""
-    pairs = sorted(
-        changes.get(idx, p) for idx, p in enumerate(inv.pairs)
-    )
-    return Involution(inv.n, tuple(pairs))
+    return Involution(inv.n, tuple(sorted(changes.get(idx, p) for idx, p in enumerate(inv.pairs))))
+
+
+def _shift(inv: Involution, s: int, end: int, outward: bool) -> Involution | None:
+    """Move one entry of pair ``s`` onto the nearest fixed point on one side.
+
+    ``end`` 0 moves the first entry, 1 the second.  ``outward`` moves it away
+    from the other entry (down or right), otherwise inward (up or left) and
+    never past the other entry.  The move is blocked when some pair whose
+    same-side entry lies strictly between the old and the new place reaches
+    past pair ``s`` on the far side: ``j_t > j_s`` for first entries,
+    ``i_t < i_s`` for second entries.  Neither pair ``s``'s far entry nor the
+    pairs in between change, so the condition reads the same before and after
+    the move and the outward and inward shifts of an end invert each other.
+    """
+    pair = _pair_at(inv, s)
+    old, far = pair[end], pair[1 - end]
+    step = 1 if bool(end) == outward else -1
+    stop = far if not outward else (inv.n + 1 if step > 0 else 0)
+    moved = {x for p in inv.pairs for x in p}
+    new = old + step
+    while new != stop and new in moved:
+        new += step
+    if new == stop:
+        return None
+    lo, hi = sorted((old, new))
+    if any(lo < p[end] < hi and (p[1] > far if end == 0 else p[0] < far) for p in inv.pairs):
+        return None
+    return _replace(inv, {s - 1: (new, far) if end == 0 else (far, new)})
 
 
 def move_down(inv: Involution, s: int) -> Involution | None:
-    """Drop the first entry of pair ``s`` onto the nearest lower fixed point.
-
-    Defined when such a fixed point x exists and either sits directly below
-    or every pair starting strictly between x and the moved entry closes
-    before the moved pair does.
-    """
-    i_s, j_s = _pair_at(inv, s)
-    comp = inv.support_complement()
-    below = [p for p in comp if p < i_s]
-    if not below:
-        return None
-    x = max(below)
-    if x != i_s - 1:
-        if any(x < i_t < i_s and j_t > j_s for i_t, j_t in inv.pairs):
-            return None
-    return _replace(inv, {s - 1: (x, j_s)})
+    """Drop the first entry of pair ``s`` onto the nearest lower fixed point."""
+    return _shift(inv, s, 0, True)
 
 
 def move_up(inv: Involution, s: int) -> Involution | None:
     """Raise the first entry of pair ``s`` onto the nearest fixed point inside it."""
-    i_s, j_s = _pair_at(inv, s)
-    comp = inv.support_complement()
-    inside = [p for p in comp if i_s < p < j_s]
-    if not inside:
-        return None
-    x = min(inside)
-    if x != i_s + 1:
-        if any(i_s < i_t < x and j_t > j_s for i_t, j_t in inv.pairs):
-            return None
-    return _replace(inv, {s - 1: (x, j_s)})
+    return _shift(inv, s, 0, False)
 
 
 def move_right(inv: Involution, s: int) -> Involution | None:
     """Push the second entry of pair ``s`` onto the nearest higher fixed point."""
-    i_s, j_s = _pair_at(inv, s)
-    comp = inv.support_complement()
-    above = [p for p in comp if p > j_s]
-    if not above:
-        return None
-    y = min(above)
-    if y != j_s + 1:
-        if any(j_s < j_t < y and i_t < i_s for i_t, j_t in inv.pairs):
-            return None
-    return _replace(inv, {s - 1: (i_s, y)})
+    return _shift(inv, s, 1, True)
 
 
 def move_left(inv: Involution, s: int) -> Involution | None:
     """Pull the second entry of pair ``s`` onto the nearest fixed point inside it."""
-    i_s, j_s = _pair_at(inv, s)
-    comp = inv.support_complement()
-    inside = [p for p in comp if i_s < p < j_s]
-    if not inside:
-        return None
-    y = max(inside)
-    if y != j_s - 1:
-        if any(y < j_t < j_s and i_t < i_s for i_t, j_t in inv.pairs):
-            return None
-    return _replace(inv, {s - 1: (i_s, y)})
+    return _shift(inv, s, 1, False)
 
 
-def _cross_down_moves(
-    inv: Involution, t: int
-) -> list[tuple[tuple[Pair, Pair], Involution]]:
-    """Detailed uncross moves anchored at pair ``t``: exchange its first
-    entry with the second entry of an earlier pair closing before it."""
-    i_t, j_t = _pair_at(inv, t)
-    comp = set(inv.support_complement())
-    out: list[tuple[tuple[Pair, Pair], Involution]] = []
-    for s0, (i_s, j_s) in enumerate(inv.pairs):
-        if j_s >= i_t:
-            continue
-        gap = range(j_s + 1, i_t)
-        if any(q in comp for q in gap):
-            continue
-        if j_s != i_t - 1:
-            inner = window_support(inv, i_s, j_t)
-            if not all(q in inner for q in gap):
-                continue
-        # Minimality forces the neighbourhood constraints below; keep them
-        # as live checks rather than assumptions.
-        assert all(
-            j_p < j_s or j_p > i_t for i_p, j_p in inv.pairs if i_p < i_s
-        )
-        assert all(
-            i_p < j_s or j_p < j_t for i_p, j_p in inv.pairs if i_s < i_p < i_t
-        )
-        for x in gap:
-            i_p, j_p = next(p for p in inv.pairs if x in p)
-            assert i_s < i_p < j_p < j_t
-        target = _replace(inv, {s0: (i_s, i_t), t - 1: (j_s, j_t)})
-        out.append((((i_s, j_s), (i_t, j_t)), target))
-    return out
+def _swap_moves(inv: Involution, s: int, nested: bool) -> list[_PairedMove]:
+    """Exchange the second entries of pair ``s`` and a pair ``t`` starting inside it.
 
-
-def cross_down(inv: Involution, t: int) -> set[Involution]:
-    """All uncross moves anchored at pair ``t`` (possibly empty)."""
-    return {target for _, target in _cross_down_moves(inv, t)}
-
-
-def _cross_up_moves(
-    inv: Involution, t: int
-) -> list[tuple[tuple[Pair, Pair], Involution]]:
-    """Detailed recross moves anchored at pair ``t``, defined as the exact
-    inverse relation of :func:`cross_down`.
-
-    Candidates exchange the first entry of pair ``t`` with the second entry
-    of a pair crossing it; a candidate is kept only when the corresponding
-    down-move of the result restores the input.
+    ``t`` is nested in ``s`` for a down-move, crossing it for an up-move.  The
+    exchange is allowed when every pair starting between ``i_s`` and ``i_t``
+    closes outside the two second entries; the exchange keeps both the first
+    entries and the set of second entries, so the condition reads the same
+    before and after and the two directions invert each other.
     """
-    i_t, j_t = _pair_at(inv, t)
-    out: list[tuple[tuple[Pair, Pair], Involution]] = []
-    for s0, (i_s, j_s) in enumerate(inv.pairs):
-        if not i_s < i_t < j_s < j_t:
-            continue
-        cand = _replace(inv, {s0: (i_s, i_t), t - 1: (j_s, j_t)})
-        t_back = cand.pairs.index((j_s, j_t)) + 1
-        if inv in cross_down(cand, t_back):
-            out.append((((i_s, j_s), (i_t, j_t)), cand))
-    return out
-
-
-def cross_up(inv: Involution, t: int) -> set[Involution]:
-    """All recross moves anchored at pair ``t`` (possibly empty)."""
-    return {target for _, target in _cross_up_moves(inv, t)}
-
-
-def _swap_down_moves(
-    inv: Involution, s: int
-) -> list[tuple[tuple[Pair, Pair], Involution]]:
-    """Exchange first entries of pair ``s`` with a pair nested inside it."""
     i_s, j_s = _pair_at(inv, s)
-    out: list[tuple[tuple[Pair, Pair], Involution]] = []
+    out: list[_PairedMove] = []
     for t0, (i_t, j_t) in enumerate(inv.pairs):
-        if not (i_s < i_t and j_t < j_s):
+        if not i_s < i_t < j_s or (j_t < j_s) != nested:
             continue
-        if all(
-            j_q < j_t or j_q > j_s
-            for i_q, j_q in inv.pairs
-            if i_s < i_q < i_t
-        ):
+        lo, hi = sorted((j_s, j_t))
+        if not any(lo < j_q < hi for i_q, j_q in inv.pairs if i_s < i_q < i_t):
             target = _replace(inv, {s - 1: (i_s, j_t), t0: (i_t, j_s)})
             out.append((((i_s, j_s), (i_t, j_t)), target))
     return out
@@ -203,31 +127,64 @@ def _swap_down_moves(
 
 def swap_down(inv: Involution, s: int) -> set[Involution]:
     """All nested-pair exchanges at pair ``s`` giving a smaller element."""
-    return {target for _, target in _swap_down_moves(inv, s)}
-
-
-def _swap_up_moves(
-    inv: Involution, s: int
-) -> list[tuple[tuple[Pair, Pair], Involution]]:
-    """Exchange first entries of pair ``s`` with a pair crossing it."""
-    i_s, j_s = _pair_at(inv, s)
-    out: list[tuple[tuple[Pair, Pair], Involution]] = []
-    for t0, (i_t, j_t) in enumerate(inv.pairs):
-        if not i_s < i_t < j_s < j_t:
-            continue
-        if all(
-            j_q < j_s or j_q > j_t
-            for i_q, j_q in inv.pairs
-            if i_s < i_q < i_t
-        ):
-            target = _replace(inv, {s - 1: (i_s, j_t), t0: (i_t, j_s)})
-            out.append((((i_s, j_s), (i_t, j_t)), target))
-    return out
+    return {target for _, target in _swap_moves(inv, s, True)}
 
 
 def swap_up(inv: Involution, s: int) -> set[Involution]:
     """All crossing-pair exchanges at pair ``s`` giving a bigger element."""
-    return {target for _, target in _swap_up_moves(inv, s)}
+    return {target for _, target in _swap_moves(inv, s, False)}
+
+
+def _check_minimal(lower: Involution, first: Pair, second: Pair) -> None:
+    """Neighbourhood constraints that minimality forces on a cross move.
+
+    ``first`` closes before ``second`` opens in ``lower``, the lower side of a
+    cross move.  Kept as live checks rather than assumptions.
+    """
+    (i_s, j_s), (i_t, j_t) = first, second
+    assert all(j_p < j_s or j_p > i_t for i_p, j_p in lower.pairs if i_p < i_s)
+    assert all(i_p < j_s or j_p < j_t for i_p, j_p in lower.pairs if i_s < i_p < i_t)
+    for x in range(j_s + 1, i_t):
+        i_p, j_p = next(p for p in lower.pairs if x in p)
+        assert i_s < i_p < j_p < j_t
+
+
+def _cross_moves(inv: Involution, t: int, down: bool) -> list[_PairedMove]:
+    """Make pair ``t`` and an earlier pair ``s`` cross (down) or sequential (up).
+
+    Down, ``s`` closes before ``t`` opens; up, ``s`` crosses ``t``.  Both
+    give ``s -> (i_s, i_t)`` and ``t -> (j_s, j_t)``.  The move is allowed
+    when every point strictly between the two middle entries belongs to a
+    pair inside ``[i_s, j_t]``.  The move keeps the outer entries and the
+    pairs in between, so the condition reads the same before and after and
+    the two directions invert each other.
+    """
+    i_t, j_t = _pair_at(inv, t)
+    partner = {x: y for p in inv.pairs for x, y in (p, p[::-1])}
+    out: list[_PairedMove] = []
+    for s0, (i_s, j_s) in enumerate(inv.pairs):
+        if not (j_s < i_t if down else i_s < i_t < j_s < j_t):
+            continue
+        lo, hi = sorted((j_s, i_t))
+        if not all(i_s < partner.get(x, 0) < j_t for x in range(lo + 1, hi)):
+            continue
+        target = _replace(inv, {s0: (i_s, i_t), t - 1: (j_s, j_t)})
+        if down:
+            _check_minimal(inv, (i_s, j_s), (i_t, j_t))
+        else:
+            _check_minimal(target, (i_s, i_t), (j_s, j_t))
+        out.append((((i_s, j_s), (i_t, j_t)), target))
+    return out
+
+
+def cross_down(inv: Involution, t: int) -> set[Involution]:
+    """All moves making pair ``t`` and a pair closing before it cross."""
+    return {target for _, target in _cross_moves(inv, t, True)}
+
+
+def cross_up(inv: Involution, t: int) -> set[Involution]:
+    """All moves making pair ``t`` and a pair crossing it sequential."""
+    return {target for _, target in _cross_moves(inv, t, False)}
 
 
 def _outcomes(inv: Involution, single, paired) -> list[MoveOutcome]:
@@ -255,7 +212,8 @@ def descendant_moves(inv: Involution) -> list[MoveOutcome]:
     return _outcomes(
         inv,
         ((KIND_MOVE_DOWN, move_down), (KIND_MOVE_RIGHT, move_right)),
-        ((KIND_CROSS_DOWN, _cross_down_moves), (KIND_SWAP_DOWN, _swap_down_moves)),
+        ((KIND_CROSS_DOWN, partial(_cross_moves, down=True)),
+         (KIND_SWAP_DOWN, partial(_swap_moves, nested=True))),
     )
 
 
@@ -264,7 +222,8 @@ def ancestor_moves(inv: Involution) -> list[MoveOutcome]:
     return _outcomes(
         inv,
         ((KIND_MOVE_UP, move_up), (KIND_MOVE_LEFT, move_left)),
-        ((KIND_CROSS_UP, _cross_up_moves), (KIND_SWAP_UP, _swap_up_moves)),
+        ((KIND_CROSS_UP, partial(_cross_moves, down=False)),
+         (KIND_SWAP_UP, partial(_swap_moves, nested=False))),
     )
 
 

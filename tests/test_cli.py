@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import select
 import subprocess
 import sys
 from importlib import resources
@@ -319,10 +320,8 @@ def test_stdin_batch(capsys, monkeypatch, command):
         check_schema(command, json.loads(json_line))
         if command == "rank":
             assert json.loads(line) == json.loads(single_json)["rank_matrix"]
-        elif len(single.splitlines()) != 1:  # a list answer on one line; none when empty
+        else:  # the answer on one line; none when it is empty
             assert line == (" ".join(single.splitlines()) or "none")
-        else:
-            assert line + "\n" == single
     if command == "rank":  # rank - | recover - gives the inputs back
         code, out, _ = run_stdin(capsys, monkeypatch, "recover", lines)
         assert code == 0 and out.splitlines() == inputs
@@ -343,6 +342,29 @@ def test_closed_output_pipe_exits_one(argv):
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert one_error_line(err.decode()) and b"Traceback" not in err, err
+
+
+def test_stdin_answers_each_line_before_the_next_is_read():
+    env = dict(os.environ, PYTHONPATH=str(Path(orbitposet.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # the answer must not rely on an unbuffered stdout
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbitposet", "dim", "-", "--n", "3"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        proc.stdin.write(b"(1,2)\n")
+        proc.stdin.flush()
+        ready, _, _ = select.select([proc.stdout], [], [], 30)
+        assert ready, "no answer while stdin is still open"
+        assert proc.stdout.readline() == b"2\n"
+        proc.stdin.write(b"(1,3)\n")
+        out, err = proc.communicate(timeout=60)  # closes stdin
+    finally:
+        proc.kill()
+    assert proc.returncode == 0 and out == b"1\n", err
 
 
 def test_parse_errors_exit_one(capsys):

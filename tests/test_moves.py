@@ -6,6 +6,7 @@ from orbitposet import (
     IndexOutOfRange,
     Involution,
     all_involutions,
+    ancestor_moves,
     ancestors,
     brute_covers,
     closure,
@@ -209,13 +210,21 @@ def test_ancestors_of_maximal_orbits_empty():
                 assert ancestors(sigma_T(tab)) == set()
 
 
+# Each down-move tag and the tag of the up-move that undoes it, both ways.
+INVERSE_KIND = {"move_down": "move_up", "move_right": "move_left",
+                "cross_down": "cross_up", "swap_down": "swap_up"}
+INVERSE_KIND |= {up: down for down, up in INVERSE_KIND.items()}
+
+
 def test_ancestors_equal_inverse_descendants():
-    for n in range(1, 6):
-        for k in range(n // 2 + 1):
-            els = list(all_involutions(n, k))
-            for e in els:
-                expected = {x for x in els if e in descendants(x)}
-                assert ancestors(e) == expected
+    # every down-move read backwards is an up-move, and nothing else is
+    inverted, up = [], []
+    for n in range(1, 10):
+        for e in all_involutions(n):
+            inverted += [(m.target, INVERSE_KIND[m.kind], e) for m in descendant_moves(e)]
+            up += [(e, m.kind, m.target) for m in ancestor_moves(e)]
+    assert len(up) == 15_263
+    assert sorted(inverted) == sorted(up)
 
 
 def test_direction_law():

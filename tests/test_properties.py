@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from orbitposet import (
     InvalidRankMatrix,
+    ancestor_moves,
+    ancestors,
     canonicalize,
+    cover,
+    descendant_moves,
+    descendants,
+    dimension,
     from_rank_matrix,
     is_valid,
     meet,
@@ -50,3 +56,42 @@ def test_a_valid_meet_recovers_to_its_own_involution(pair):
     else:
         with pytest.raises(InvalidRankMatrix):
             from_rank_matrix(bound)
+
+
+def mirror(e):
+    """The image of ``e`` under the reflection x -> n+1-x."""
+    return canonicalize(((e.n + 1 - a, e.n + 1 - b) for a, b in e.pairs), e.n)
+
+
+@checked
+@given(involutions)
+def test_the_mirror_is_an_automorphism(e):
+    # the reflection swaps the two ends of a pair, so this checks the first-
+    # and second-entry shifts against each other
+    m = mirror(e)
+    assert dimension(m) == dimension(e)
+    for family in (descendants, ancestors, cover):
+        assert {mirror(x) for x in family(e)} == family(m)
+
+
+# Each down-move tag and the tag of the up-move that undoes it, both ways.
+INVERSE_KIND = {"move_down": "move_up", "move_right": "move_left",
+                "cross_down": "cross_up", "swap_down": "swap_up"}
+INVERSE_KIND |= {up: down for down, up in INVERSE_KIND.items()}
+
+
+@checked
+@given(involutions)
+def test_every_move_is_undone_by_its_inverse(e):
+    for moves, back in ((descendant_moves, ancestor_moves), (ancestor_moves, descendant_moves)):
+        for m in moves(e):
+            assert (INVERSE_KIND[m.kind], e) in {(b.kind, b.target) for b in back(m.target)}
+
+
+@checked
+@given(involutions)
+def test_dimension_is_at_most_k_times_n_minus_k(e):
+    # with equality exactly at the maximal elements of the k-pair involutions
+    top = e.length * (e.n - e.length)
+    assert dimension(e) <= top
+    assert (dimension(e) == top) == (not ancestors(e))
