@@ -3,13 +3,15 @@
 Text output is deterministic across runs; ``--json`` switches every command
 to a structured form (documented in ``schemas/cli_output.schema.json``).
 
-The commands of one involution, tableau or matrix are rows of ``COMMANDS``;
-``_run_command`` reads, parses and echoes their input and prints their answer.
-Each of them accepts ``-`` to read one input per line from stdin and
-prints exactly one line per input as soon as it is read: a list answer on one
-line separated by spaces, ``none`` for any empty answer, a rank matrix as one
-JSON array (the form ``valid -`` and ``recover -`` read), and with ``--json``
-one JSON object.
+Every command that reads an input is a row of ``COMMANDS``, which lists its
+positional inputs as ``(argument, kind)`` pairs, and ``_run_command`` reads,
+parses and echoes them and prints the answer; ``hasse``, ``enumerate`` and
+``verify`` read none and stream their output.  ``leq`` and ``meet`` read an
+involution or a dense matrix as its rank matrix.  A command of one input
+accepts ``-`` to read one input per line from stdin and prints exactly one
+line per input as soon as it is read: a list answer on one line separated by
+spaces, ``none`` for any empty answer, a rank matrix as one JSON array (the
+form ``valid -`` and ``recover -`` read), and with ``--json`` one JSON object.
 
 Exit codes: 0 success, 1 parse/validation error or a closed output pipe,
 2 verification failure.
@@ -22,7 +24,7 @@ import json
 import os
 import sys
 from functools import partial
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import OrbitPosetError, ParseError
 from .involutions import (
@@ -51,13 +53,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _inputs(value: str) -> Iterable[str]:
-    """The one input ``value``, or for ``-`` each non-blank stdin line as it is read."""
-    if value == "-":
-        return (line.strip() for line in sys.stdin if line.strip())
-    return [value]
-
-
 def _need_n(args) -> int:
     if args.n is None:
         raise ParseError("--n is required for involution input")
@@ -73,12 +68,15 @@ def _parse_matrix(text: str) -> RankMatrix:
     return RankMatrix.from_rows(rows)
 
 
-def _parse_value(text: str, args) -> Involution | RankMatrix:
-    """An involution (needs --n) or a dense JSON matrix."""
+def _parse_rank(text: str, args) -> RankMatrix:
+    """A dense JSON matrix, or an involution (needs --n) as its rank matrix.
+
+    The one place where such text becomes a :class:`RankMatrix`.
+    """
     stripped = text.strip()
     if stripped.startswith("["):
         return _parse_matrix(stripped)
-    return Involution.parse(stripped, _need_n(args))
+    return rank_matrix(Involution.parse(stripped, _need_n(args)))
 
 
 def _emit(args, payload: dict, answer, batch: bool = False) -> None:
@@ -102,33 +100,45 @@ def _emit(args, payload: dict, answer, batch: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Single-input commands
+# Commands that read inputs
 # ---------------------------------------------------------------------------
 
 class _Command(NamedTuple):
     name: str
     help: str
-    kind: str  # "involution", "tableau" or "matrix"
-    answer: Callable  # (value, args) -> (JSON fields, text answer for _emit)
+    inputs: tuple[tuple[str, str], ...]  # (argument, kind) per positional input
+    answer: Callable  # (*values, args) -> (JSON fields, text answer for _emit)
 
 
-def _reader(kind: str, args):
-    """The parser of one input of ``kind`` and the fields that echo it."""
+def _reader(name: str, kind: str, args) -> tuple[Callable, Callable]:
+    """The parser of input ``name`` of ``kind``, and its echo: (value, text) -> JSON fields.
+
+    An ``involution-or-matrix`` is read as a rank matrix and echoed as the
+    text given; an ``integer`` has been read by argparse.
+    """
     if kind == "involution":
-        n = _need_n(args)
-        return (lambda text: Involution.parse(text, n)), (lambda inv: {"involution": str(inv), "n": n})
+        n = _need_n(args)  # checked before stdin is read
+        return (lambda text: Involution.parse(text, n)), (lambda inv, text: {name: str(inv), "n": n})
     if kind == "tableau":
-        return TwoColumnTableau.parse, lambda tab: {"tableau": str(tab)}
-    return _parse_matrix, lambda r: {"n": r.n}
+        return TwoColumnTableau.parse, lambda tab, text: {name: str(tab)}
+    if kind == "matrix":
+        return _parse_matrix, lambda r, text: {"n": r.n}
+    if kind == "integer":
+        return int, lambda i, text: {name: i}
+    return partial(_parse_rank, args=args), lambda r, text: {name: text.strip()}
 
 
 def _run_command(command: _Command, args) -> int:
-    parse, echo = _reader(command.kind, args)
-    batch = args.input == "-"
-    for text in _inputs(args.input):
-        value = parse(text)
-        fields, answer = command.answer(value, args)
-        _emit(args, {**echo(value), **fields}, answer, batch)
+    readers = [_reader(name, kind, args) for name, kind in command.inputs]
+    texts = [getattr(args, name) for name, _ in command.inputs]
+    batch = texts == ["-"]  # only a command of one input reads stdin, a line at a time
+    for row in ([line.strip()] for line in sys.stdin if line.strip()) if batch else [texts]:
+        values, payload = [], {}
+        for (parse, echo), text in zip(readers, row):
+            values.append(parse(text))
+            payload.update(echo(values[-1], text))
+        fields, answer = command.answer(*values, args)
+        _emit(args, {**payload, **fields}, answer, batch)
         if batch:  # answer each line before the next one is read
             sys.stdout.flush()
     return 0
@@ -156,9 +166,27 @@ def _moves(moves):
     return fields, [str(t) for t in sorted({m.target for m in moves})]
 
 
-def _rank(inv: Involution, args):
-    r = rank_matrix(inv)
-    return {"rank_matrix": r.to_rows()}, r
+def _matrix(r: RankMatrix):
+    """A rank-matrix answer, printed as its grid."""
+    return {"n": r.n, "rank_matrix": r.to_rows()}, r
+
+
+def _intersect(a: Involution, b: Involution, args):
+    result = intersect(a, b, force=args.force, max_n=args.max_n)
+    lines = [
+        "meet:",
+        result.meet.format_grid(),
+        f"irreducible: {json.dumps(result.irreducible)}",
+        "components:",
+        *(f"  {comp} dim {d}" for comp, d in zip(result.components, result.component_dims)),
+        f"codim: {result.codim}",
+        f"equidimensional: {json.dumps(result.equidimensional)}",
+    ]
+    fields = result.to_json_dict()
+    if args.force and a.length != b.length:
+        fields["note"] = "outside theorem scope"
+        lines.append("note: outside theorem scope")
+    return fields, lines
 
 
 def _tab2inv(tab: TwoColumnTableau, args):
@@ -172,91 +200,79 @@ def _inv2tab(inv: Involution, args):
     return {"tableau": name}, name or "none"
 
 
+def _change(tab: TwoColumnTableau, i: int, j: int, args):
+    arr = change(tab, i, j)
+    ok = arr.is_tableau()
+    return {"array": str(arr), "is_tableau": ok}, [str(arr), f"is_tableau: {json.dumps(ok)}"]
+
+
+def _rs_witness(t: TwoColumnTableau, s: TwoColumnTableau, args):
+    witness = find_rs_witness(t, s)
+    if witness is None:
+        return {"witness": None}, "none"
+    p, m = witness
+    return {"witness": {"p": str(p), "m": m}}, f"P={p} m={m}"
+
+
+_INV = (("involution", "involution"),)
+_TAB = (("tableau", "tableau"),)
+_MAT = (("matrix", "matrix"),)
+_TWO_RANKS = (("a", "involution-or-matrix"), ("b", "involution-or-matrix"))
+
 # Rows look library names up when they run, never when this module loads, so
 # a tracer that rebinds this module's globals sees every call.
 COMMANDS = (
-    _Command("dim", "orbit dimension of an involution", "involution",
+    _Command("dim", "orbit dimension of an involution", _INV,
              lambda inv, args: _field("dim", dimension(inv))),
-    _Command("q", "per-pair interleaving statistic", "involution",
+    _Command("q", "per-pair interleaving statistic", _INV,
              lambda inv, args: _field("q", q_values(inv), lambda q: ",".join(map(str, q)))),
-    _Command("rank", "rank matrix of an involution", "involution", _rank),
-    _Command("valid", "test a dense matrix for rank-matrix validity", "matrix",
+    _Command("rank", "rank matrix of an involution", _INV,
+             lambda inv, args: _matrix(rank_matrix(inv))),
+    _Command("valid", "test a dense matrix for rank-matrix validity", _MAT,
              lambda r, args: _field("valid", is_valid(r), json.dumps, rank_matrix=r.to_rows())),
-    _Command("recover", "recover the involution of a valid rank matrix", "matrix",
+    _Command("recover", "recover the involution of a valid rank matrix", _MAT,
              lambda r, args: _field("involution", str(from_rank_matrix(r)))),
-    _Command("desc", "one-level degenerations (same cycle count)", "involution",
+    _Command("leq", "closure-order comparison (involutions or matrices)", _TWO_RANKS,
+             lambda a, b, args: _field("leq", leq(a, b), json.dumps)),
+    _Command("meet", "entrywise minimum of two rank matrices", _TWO_RANKS,
+             lambda a, b, args: _matrix(meet(a, b))),
+    _Command("desc", "one-level degenerations (same cycle count)", _INV,
              lambda inv, args: _moves(descendant_moves(inv))),
-    _Command("anc", "one-level ascents (same cycle count)", "involution",
+    _Command("anc", "one-level ascents (same cycle count)", _INV,
              lambda inv, args: _moves(ancestor_moves(inv))),
-    _Command("cover", "cover relation below an involution (all lengths)", "involution",
+    _Command("cover", "cover relation below an involution (all lengths)", _INV,
              lambda inv, args: _moves(cover_moves(inv))),
-    _Command("closure", "everything below an involution", "involution",
+    _Command("closure", "everything below an involution", _INV,
              lambda inv, args: _names("closure", closure(inv))),
-    _Command("depth", "chain length down to the minimal k-pair element", "involution",
+    _Command("intersect", "decompose the intersection of two closures",
+             (("a", "involution"), ("b", "involution")), _intersect),
+    _Command("codim", "codimension of a comparable pair",
+             (("upper", "involution"), ("lower", "involution")),
+             lambda upper, lower, args: _field("codim", codim(upper, lower))),
+    _Command("depth", "chain length down to the minimal k-pair element", _INV,
              lambda inv, args: _field("depth", depth(inv, args.k), k=args.k)),
-    _Command("tab2inv", "maximal-orbit involution of a two-column tableau", "tableau", _tab2inv),
-    _Command("inv2tab", "tableau of a maximal-dimension involution", "involution", _inv2tab),
-    _Command("partners", "codimension-one partner tableaux", "tableau",
+    _Command("tab2inv", "maximal-orbit involution of a two-column tableau", _TAB, _tab2inv),
+    _Command("inv2tab", "tableau of a maximal-dimension involution", _INV, _inv2tab),
+    _Command("partners", "codimension-one partner tableaux", _TAB,
              lambda tab, args: _names("partners", change_rule_partners(tab))),
+    _Command("change", "swap one entry between the two columns",
+             (("tableau", "tableau"), ("i", "integer"), ("j", "integer")), _change),
+    _Command("rs-witness", "insertion-word witness for codimension one",
+             (("t", "tableau"), ("s", "tableau")), _rs_witness),
 )
 
+# Help of a one-input command's argument, by kind; of the others', by name.
 _INPUT_HELP = {
     "involution": "e.g. '(1,5)(3,4)' (identity: id)",
     "tableau": "e.g. '1,2,3,6|4,5,7,8'",
     "matrix": "dense JSON array, e.g. '[[0,1],[0,0]]'",
 }
+_ARGUMENT_HELP = {"i": "entry of the first column", "j": "entry of the second column"}
 
 
 # ---------------------------------------------------------------------------
-# Commands of two inputs or none
+# Commands of no input
 # ---------------------------------------------------------------------------
-
-def _cmd_leq(args) -> int:
-    a = _parse_value(args.a, args)
-    b = _parse_value(args.b, args)
-    ok = leq(a, b)
-    _emit(args, {"a": args.a.strip(), "b": args.b.strip(), "leq": ok}, json.dumps(ok))
-    return 0
-
-
-def _cmd_meet(args) -> int:
-    a = _parse_value(args.a, args)
-    b = _parse_value(args.b, args)
-    r = meet(a, b)
-    _emit(args, {"a": args.a.strip(), "b": args.b.strip(), "n": r.n, "rank_matrix": r.to_rows()}, r)
-    return 0
-
-
-def _cmd_intersect(args) -> int:
-    n = _need_n(args)
-    a = Involution.parse(args.a, n)
-    b = Involution.parse(args.b, n)
-    result = intersect(a, b, force=args.force, max_n=args.max_n)
-    payload = result.to_json_dict()
-    lines = [
-        "meet:",
-        result.meet.format_grid(),
-        f"irreducible: {json.dumps(result.irreducible)}",
-        "components:",
-        *(f"  {comp} dim {d}" for comp, d in zip(result.components, result.component_dims)),
-        f"codim: {result.codim}",
-        f"equidimensional: {json.dumps(result.equidimensional)}",
-    ]
-    if args.force and a.length != b.length:
-        payload["note"] = "outside theorem scope"
-        lines.append("note: outside theorem scope")
-    _emit(args, payload, lines)
-    return 0
-
-
-def _cmd_codim(args) -> int:
-    n = _need_n(args)
-    upper = Involution.parse(args.upper, n)
-    lower = Involution.parse(args.lower, n)
-    value = codim(upper, lower)
-    _emit(args, {"upper": str(upper), "lower": str(lower), "n": n, "codim": value}, value)
-    return 0
-
 
 def _cmd_hasse(args) -> int:
     if args.dot:
@@ -269,28 +285,6 @@ def _cmd_hasse(args) -> int:
         return 0
     for e in edges:
         print(f"{e.upper} {e.lower} {e.kind}")
-    return 0
-
-
-def _cmd_change(args) -> int:
-    tab = TwoColumnTableau.parse(args.tableau)
-    arr = change(tab, args.i, args.j)
-    ok = arr.is_tableau()
-    payload = {"tableau": str(tab), "i": args.i, "j": args.j, "array": str(arr), "is_tableau": ok}
-    _emit(args, payload, [str(arr), f"is_tableau: {json.dumps(ok)}"])
-    return 0
-
-
-def _cmd_rs_witness(args) -> int:
-    t_tab = TwoColumnTableau.parse(args.t)
-    s_tab = TwoColumnTableau.parse(args.s)
-    witness = find_rs_witness(t_tab, s_tab)
-    payload = {
-        "t": str(t_tab),
-        "s": str(s_tab),
-        "witness": None if witness is None else {"p": str(witness[0]), "m": witness[1]},
-    }
-    _emit(args, payload, "none" if witness is None else f"P={witness[0]} m={witness[1]}")
     return 0
 
 
@@ -345,48 +339,22 @@ def build_parser() -> _Parser:
 
     for command in COMMANDS:
         p = add(command.name, partial(_run_command, command), command.help)
-        p.add_argument("input", metavar=command.kind,
-                       help=f"{_INPUT_HELP[command.kind]}, or - for one per line on stdin")
-        if command.kind == "involution":
+        for name, kind in command.inputs:
+            help_text = (f"{_INPUT_HELP[kind]}, or - for one per line on stdin"
+                         if len(command.inputs) == 1 else _ARGUMENT_HELP.get(name))
+            p.add_argument(name, type=int if kind == "integer" else None, help=help_text)
+        if any(kind in ("involution", "involution-or-matrix") for _, kind in command.inputs):
             p.add_argument("--n", type=int)
     sub.choices["depth"].add_argument("--k", type=int, default=0)
-
-    p = add("leq", _cmd_leq, "closure-order comparison (involutions or matrices)")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--n", type=int)
-
-    p = add("meet", _cmd_meet, "entrywise minimum of two rank matrices")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--n", type=int)
-
-    p = add("intersect", _cmd_intersect, "decompose the intersection of two closures")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--n", type=int)
+    p = sub.choices["intersect"]
     p.add_argument("--force", action="store_true", help="allow unequal cycle counts")
     p.add_argument("--max-n", type=int, dest="max_n", help="raise the feasibility guard")
-
-    p = add("codim", _cmd_codim, "codimension of a comparable pair")
-    p.add_argument("upper")
-    p.add_argument("lower")
-    p.add_argument("--n", type=int)
 
     p = add("hasse", _cmd_hasse, "cover edges of the closure order")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--dot", action="store_true", help="emit DOT")
     p.add_argument("--max-n", type=int, dest="max_n", help="raise the feasibility guard")
-
-    p = add("change", _cmd_change, "swap one entry between the two columns")
-    p.add_argument("tableau")
-    p.add_argument("i", type=int, help="entry of the first column")
-    p.add_argument("j", type=int, help="entry of the second column")
-
-    p = add("rs-witness", _cmd_rs_witness, "insertion-word witness for codimension one")
-    p.add_argument("t")
-    p.add_argument("s")
 
     p = add("enumerate", _cmd_enumerate, "list involutions in stable order")
     p.add_argument("--n", type=int, required=True)

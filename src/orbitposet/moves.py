@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import IndexOutOfRange
-from .involutions import Involution, Pair, delete_pair, dimension
+from .involutions import Involution, Pair, _trusted, delete_pair, dimension
 
 KIND_MOVE_DOWN = "move_down"
 KIND_MOVE_UP = "move_up"
@@ -52,8 +52,12 @@ def _pair_at(inv: Involution, s: int) -> Pair:
 
 
 def _replace(inv: Involution, changes: dict[int, Pair]) -> Involution:
-    """Rewrite the pairs at the given 0-based slots and recanonicalise."""
-    return Involution(inv.n, tuple(sorted(changes.get(idx, p) for idx, p in enumerate(inv.pairs))))
+    """Rewrite the pairs at the given 0-based slots and re-sort them.
+
+    Built unchecked: every rule writes increasing pairs, each on fixed points
+    or on points the rewritten pairs held, so the sorted pairs are canonical.
+    """
+    return _trusted(inv.n, tuple(sorted(changes.get(idx, p) for idx, p in enumerate(inv.pairs))))
 
 
 def _shift(inv: Involution, s: int, end: int, outward: bool) -> Involution | None:
@@ -144,9 +148,6 @@ def _check_minimal(lower: Involution, first: Pair, second: Pair) -> None:
     (i_s, j_s), (i_t, j_t) = first, second
     assert all(j_p < j_s or j_p > i_t for i_p, j_p in lower.pairs if i_p < i_s)
     assert all(i_p < j_s or j_p < j_t for i_p, j_p in lower.pairs if i_s < i_p < i_t)
-    for x in range(j_s + 1, i_t):
-        i_p, j_p = next(p for p in lower.pairs if x in p)
-        assert i_s < i_p < j_p < j_t
 
 
 def _cross_moves(inv: Involution, t: int, down: bool) -> list[_PairedMove]:

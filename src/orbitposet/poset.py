@@ -128,7 +128,7 @@ def intersect(
 
 def codim(upper: Involution, lower: Involution) -> int:
     """Codimension of the lower orbit inside the closure of the upper one."""
-    if not leq(lower, upper):
+    if not leq(rank_matrix(lower), rank_matrix(upper)):
         raise NotComparable(f"{lower} is not below {upper}")
     return dimension(upper) - dimension(lower)
 

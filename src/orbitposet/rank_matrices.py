@@ -242,26 +242,22 @@ def is_valid(r: RankMatrix) -> bool:
     return _involution_of(r) is not None
 
 
-def _as_matrix(value: Involution | RankMatrix) -> RankMatrix:
-    return rank_matrix(value) if isinstance(value, Involution) else value
+def leq(a: RankMatrix, b: RankMatrix) -> bool:
+    """Entrywise order on rank matrices: ``a`` below ``b``.
 
-
-def leq(a: Involution | RankMatrix, b: Involution | RankMatrix) -> bool:
-    """Entrywise order: ``a`` below ``b``.  Accepts involutions or matrices.
-
-    One guard-bit test on the packed forms.  Across widths, a wider ``a``
-    holds a cell ``b`` cannot reach, and a narrower one is compared by cells.
+    Involutions are compared through their :func:`rank_matrix`.  One
+    guard-bit test on the packed forms.  Across widths, a wider ``a`` holds a
+    cell ``b`` cannot reach, and a narrower one is compared by cells.
     """
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    if ma.n != mb.n:
-        raise SizeMismatch(f"cannot compare ranks {ma.n} and {mb.n}")
-    if ma.width != mb.width:
-        return ma.width < mb.width and all(map(le, ma.cells, mb.cells))
-    guard = _guard(ma.n, ma.width)
-    return ((mb.packed | guard) - ma.packed) & guard == guard
+    if a.n != b.n:
+        raise SizeMismatch(f"cannot compare ranks {a.n} and {b.n}")
+    if a.width != b.width:
+        return a.width < b.width and all(map(le, a.cells, b.cells))
+    guard = _guard(a.n, a.width)
+    return ((b.packed | guard) - a.packed) & guard == guard
 
 
-def meet(a: Involution | RankMatrix, b: Involution | RankMatrix) -> RankMatrix:
+def meet(a: RankMatrix, b: RankMatrix) -> RankMatrix:
     """Entrywise minimum of two rank matrices.
 
     At the narrowest width ``_width(n)``, which every involution's matrix
@@ -271,18 +267,17 @@ def meet(a: Involution | RankMatrix, b: Involution | RankMatrix) -> RankMatrix:
     go through the cells, so the minimum is repacked at its own narrowest
     width.
     """
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    n = ma.n
-    if n != mb.n:
-        raise SizeMismatch(f"cannot meet ranks {n} and {mb.n}")
+    n = a.n
+    if n != b.n:
+        raise SizeMismatch(f"cannot meet ranks {n} and {b.n}")
     width = _width(n)
-    if ma.width != width or mb.width != width:
-        return RankMatrix(n, tuple(map(min, ma.cells, mb.cells)))
+    if a.width != width or b.width != width:
+        return RankMatrix(n, tuple(map(min, a.cells, b.cells)))
     guard = _guard(n, width)
     bits = 8 * width
-    ge = ((ma.packed | guard) - mb.packed) & guard
+    ge = ((a.packed | guard) - b.packed) & guard
     mask = (ge >> (bits - 1)) * ((1 << bits) - 1)
-    return RankMatrix._from_packed(n, (mb.packed & mask) | (ma.packed & ~mask))
+    return RankMatrix._from_packed(n, (b.packed & mask) | (a.packed & ~mask))
 
 
 def from_rank_matrix(r: RankMatrix) -> Involution:

@@ -22,50 +22,27 @@ from .involutions import Involution, Pair, canonicalize, dimension
 from .moves import ancestors, descendants
 
 
-def _check_columns(col1: tuple[int, ...], col2: tuple[int, ...]) -> None:
-    n = len(col1) + len(col2)
-    if n < 1:
-        raise InvalidTableau("empty tableau")
-    for col in (col1, col2):
-        if any(col[i] >= col[i + 1] for i in range(len(col) - 1)):
-            raise InvalidTableau("column entries must strictly increase")
-    if set(col1) | set(col2) != set(range(1, n + 1)) or set(col1) & set(col2):
-        raise InvalidTableau(f"columns must partition 1..{n}")
-
-
-def _parse_columns(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    compact = "".join(text.split())
-    parts = compact.split("|")
-    if len(parts) > 2 or not parts[0]:
-        raise ParseError(f"cannot parse tableau from {text!r}")
-    try:
-        col1 = tuple(int(x) for x in parts[0].split(","))
-        col2 = tuple(int(x) for x in parts[1].split(",")) if len(parts) == 2 and parts[1] else ()
-    except ValueError as exc:
-        raise ParseError(f"cannot parse tableau from {text!r}") from exc
-    return col1, col2
-
-
-def _format_columns(col1: tuple[int, ...], col2: tuple[int, ...]) -> str:
-    first = ",".join(str(x) for x in col1)
-    if not col2:
-        return first
-    return first + "|" + ",".join(str(x) for x in col2)
-
-
 @dataclass(frozen=True, order=True)
 class ColumnPairArray:
     """Two disjoint increasing columns partitioning 1..n, rows unconstrained.
 
     This is the raw result type of :func:`change`; it becomes a tableau only
-    when every row increases left to right.
+    when every row increases left to right.  A :class:`TwoColumnTableau` is
+    one whose rows do, and is never equal to an array.
     """
 
     col1: tuple[int, ...]
     col2: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_columns(self.col1, self.col2)
+        col1, col2, n = self.col1, self.col2, self.n
+        if n < 1:
+            raise InvalidTableau("empty tableau")
+        for col in (col1, col2):
+            if any(col[i] >= col[i + 1] for i in range(len(col) - 1)):
+                raise InvalidTableau("column entries must strictly increase")
+        if set(col1) | set(col2) != set(range(1, n + 1)) or set(col1) & set(col2):
+            raise InvalidTableau(f"columns must partition 1..{n}")
 
     @property
     def n(self) -> int:
@@ -75,55 +52,54 @@ class ColumnPairArray:
     def k(self) -> int:
         return len(self.col2)
 
-    def is_tableau(self) -> bool:
+    def _row_failure(self) -> str | None:
+        """Why the rows fail the tableau condition, or None if they pass."""
         if len(self.col1) < len(self.col2):
-            return False
-        return all(a < b for a, b in zip(self.col1, self.col2))
+            return "first column must be at least as long as the second"
+        if any(a >= b for a, b in zip(self.col1, self.col2)):
+            return "rows must increase from left to right"
+        return None
+
+    def is_tableau(self) -> bool:
+        return self._row_failure() is None
 
     def to_tableau(self) -> "TwoColumnTableau":
         return TwoColumnTableau(self.col1, self.col2)
 
     def __str__(self) -> str:
-        return _format_columns(self.col1, self.col2)
+        first = ",".join(str(x) for x in self.col1)
+        if not self.col2:
+            return first
+        return first + "|" + ",".join(str(x) for x in self.col2)
 
     @classmethod
     def parse(cls, text: str) -> "ColumnPairArray":
-        return cls(*_parse_columns(text))
+        """Read the text format; ``TwoColumnTableau.parse`` also checks the rows."""
+        compact = "".join(text.split())
+        parts = compact.split("|")
+        if len(parts) > 2 or not parts[0]:
+            raise ParseError(f"cannot parse tableau from {text!r}")
+        try:
+            col1 = tuple(int(x) for x in parts[0].split(","))
+            col2 = tuple(int(x) for x in parts[1].split(",")) if len(parts) == 2 and parts[1] else ()
+        except ValueError as exc:
+            raise ParseError(f"cannot parse tableau from {text!r}") from exc
+        return cls(col1, col2)
 
 
-@dataclass(frozen=True, order=True)
-class TwoColumnTableau:
+class TwoColumnTableau(ColumnPairArray):
     """Standard two-column Young tableau, column lengths ``(n-k, k)``."""
 
-    col1: tuple[int, ...]
-    col2: tuple[int, ...]
-
     def __post_init__(self) -> None:
-        _check_columns(self.col1, self.col2)
-        if len(self.col1) < len(self.col2):
-            raise InvalidTableau("first column must be at least as long as the second")
-        if any(a >= b for a, b in zip(self.col1, self.col2)):
-            raise InvalidTableau("rows must increase from left to right")
-
-    @property
-    def n(self) -> int:
-        return len(self.col1) + len(self.col2)
-
-    @property
-    def k(self) -> int:
-        return len(self.col2)
+        super().__post_init__()
+        failure = self._row_failure()
+        if failure is not None:
+            raise InvalidTableau(failure)
 
     @property
     def shape(self) -> tuple[int, int]:
         """Column lengths ``(n-k, k)``."""
         return (len(self.col1), len(self.col2))
-
-    def __str__(self) -> str:
-        return _format_columns(self.col1, self.col2)
-
-    @classmethod
-    def parse(cls, text: str) -> "TwoColumnTableau":
-        return cls(*_parse_columns(text))
 
 
 def sigma_pairs_by_b(tab: TwoColumnTableau) -> tuple[Pair, ...]:

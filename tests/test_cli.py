@@ -101,7 +101,8 @@ def test_closure(capsys):
 
 
 def test_intersect(capsys):
-    payload = run_json(capsys, "intersect", "(1,5)(3,4)", "(2,4)(3,5)", "--n", "5")
+    payload = run_json(capsys, "intersect", " (1,5) (4,3)", "(2,4)(3,5)", "--n", "5")
+    assert (payload["a"], payload["b"], payload["n"]) == ("(1,5)(3,4)", "(2,4)(3,5)", 5)
     assert payload["irreducible"] is False
     assert payload["codim"] == 1
     assert payload["equidimensional"] is True
@@ -395,3 +396,92 @@ def test_emitted_strings_reparse(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "5")
     for line in out.splitlines():
         assert str(Involution.parse(line, 5)) == line
+
+
+# Exact text and JSON of the commands of several inputs, one case per input form.
+GOLDEN = [
+    (
+        ["leq", "(1,3)", "(1,2)", "--n", "3"],
+        "true\n",
+        '{"a": "(1,3)", "b": "(1,2)", "leq": true}',
+    ),
+    (
+        ["leq", "[[0,0,1],[0,0,0],[0,0,0]]", "[[0,1,1],[0,0,0],[0,0,0]]"],
+        "true\n",
+        '{"a": "[[0,0,1],[0,0,0],[0,0,0]]", "b": "[[0,1,1],[0,0,0],[0,0,0]]", "leq": true}',
+    ),
+    (
+        ["leq", " (1, 2) ", "[[0,0,1],[0,0,0],[0,0,0]]", "--n", "3"],
+        "false\n",
+        '{"a": "(1, 2)", "b": "[[0,0,1],[0,0,0],[0,0,0]]", "leq": false}',
+    ),
+    (
+        ["meet", "(1,5)(3,4)", "(2,4)(3,5)", "--n", "5"],
+        "0 0 0 1 2\n0 0 0 1 1\n0 0 0 0 1\n0 0 0 0 0\n0 0 0 0 0\n",
+        '{"a": "(1,5)(3,4)", "b": "(2,4)(3,5)", "n": 5, "rank_matrix": [[0, 0, 0, 1, 2], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]]}',
+    ),
+    (
+        ["meet", "[[0,1,1],[0,0,0],[0,0,0]]", " (2,3)", "--n", "3"],
+        "0 0 1\n0 0 0\n0 0 0\n",
+        '{"a": "[[0,1,1],[0,0,0],[0,0,0]]", "b": "(2,3)", "n": 3, "rank_matrix": [[0, 0, 1], [0, 0, 0], [0, 0, 0]]}',
+    ),
+    (
+        ["intersect", "(1,5)(3,4)", "(2,4)(3,5)", "--n", "5"],
+        "meet:\n0 0 0 1 2\n0 0 0 1 1\n0 0 0 0 1\n0 0 0 0 0\n0 0 0 0 0\nirreducible: false\ncomponents:\n  (1,4)(3,5) dim 4\n  (1,5)(2,4) dim 4\ncodim: 1\nequidimensional: true\n",
+        '{"a": "(1,5)(3,4)", "b": "(2,4)(3,5)", "codim": 1, "components": [{"dim": 4, "involution": "(1,4)(3,5)"}, {"dim": 4, "involution": "(1,5)(2,4)"}], "equidimensional": true, "irreducible": false, "meet": [[0, 0, 0, 1, 2], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]], "n": 5}',
+    ),
+    (
+        ["intersect", "(1,4)(2,3)", "(1,2)(3,4)", "--n", "4"],
+        "meet:\n0 0 1 2\n0 0 0 1\n0 0 0 0\n0 0 0 0\nirreducible: true\ncomponents:\n  (1,3)(2,4) dim 3\ncodim: 1\nequidimensional: true\n",
+        '{"a": "(1,4)(2,3)", "b": "(1,2)(3,4)", "codim": 1, "components": [{"dim": 3, "involution": "(1,3)(2,4)"}], "equidimensional": true, "irreducible": true, "meet": [[0, 0, 1, 2], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]], "n": 4}',
+    ),
+    (
+        ["intersect", "(1,2)(3,4)", "(1,2)", "--n", "4", "--force"],
+        "meet:\n0 1 1 1\n0 0 0 0\n0 0 0 0\n0 0 0 0\nirreducible: true\ncomponents:\n  (1,2) dim 3\ncodim: 0\nequidimensional: true\nnote: outside theorem scope\n",
+        '{"a": "(1,2)(3,4)", "b": "(1,2)", "codim": 0, "components": [{"dim": 3, "involution": "(1,2)"}], "equidimensional": true, "irreducible": true, "meet": [[0, 1, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], "n": 4, "note": "outside theorem scope"}',
+    ),
+    (
+        ["codim", "(1,2)", "(1,3)", "--n", "3"],
+        "1\n",
+        '{"codim": 1, "lower": "(1,3)", "n": 3, "upper": "(1,2)"}',
+    ),
+    (
+        ["change", "1,2,3,6|4,5,7,8", "3", "4"],
+        "1,2,4,6|3,5,7,8\nis_tableau: true\n",
+        '{"array": "1,2,4,6|3,5,7,8", "i": 3, "is_tableau": true, "j": 4, "tableau": "1,2,3,6|4,5,7,8"}',
+    ),
+    (
+        ["change", "1,2,3,6|4,5,7,8", "1", "8"],
+        "2,3,6,8|1,4,5,7\nis_tableau: false\n",
+        '{"array": "2,3,6,8|1,4,5,7", "i": 1, "is_tableau": false, "j": 8, "tableau": "1,2,3,6|4,5,7,8"}',
+    ),
+    (
+        ["rs-witness", "1,2|3,4", "1,3|2,4"],
+        "P=1,3|2,4 m=2\n",
+        '{"s": "1,3|2,4", "t": "1,2|3,4", "witness": {"m": 2, "p": "1,3|2,4"}}',
+    ),
+    (
+        ["rs-witness", "1,2|3,4", "1,2|3,4"],
+        "none\n",
+        '{"s": "1,2|3,4", "t": "1,2|3,4", "witness": null}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, text, json_line", GOLDEN, ids=[f"{g[0][0]}-{i}" for i, g in enumerate(GOLDEN)])
+def test_multi_input_commands_print_exactly(capsys, argv, text, json_line):
+    assert run(capsys, *argv) == (0, text, "")
+    assert run(capsys, *argv, "--json") == (0, json_line + "\n", "")
+    check_schema(argv[0], json.loads(json_line))
+
+
+def test_the_commands_that_read_an_input_are_the_table_rows():
+    from orbitposet.cli import COMMANDS, build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    positional = {
+        name for name, p in sub.choices.items() if any(not a.option_strings for a in p._actions)
+    }
+    assert positional == {c.name for c in COMMANDS}
+    assert {c.name for c in COMMANDS if len(c.inputs) == 1} == set(STDIN_INPUTS)
+    assert set(sub.choices) - positional == {"hasse", "enumerate", "verify"}

@@ -231,7 +231,7 @@ def test_direction_law():
     for n in range(1, 7):
         for e in all_involutions(n):
             for m in descendant_moves(e):
-                assert m.target != e and leq(m.target, e)
+                assert m.target != e and leq(rank_matrix(m.target), rank_matrix(e))
                 assert m.target.length == e.length
                 assert dimension(e) - dimension(m.target) == 1
 
@@ -275,7 +275,7 @@ def test_cover_is_the_maximal_part_of_the_closure():
             below = sorted(closure(e) - {e}, key=lambda x: -sum(rank_matrix(x).cells))
             maximal: list[Involution] = []
             for x in below:
-                if not any(leq(x, y) for y in maximal):
+                if not any(leq(rank_matrix(x), rank_matrix(y)) for y in maximal):
                     maximal.append(x)
             assert cover(e) == set(maximal), e
 
@@ -290,3 +290,16 @@ def test_cover_moves_are_descendants_then_deletions():
             assert all(m.kind == "delete" for m in tail)
             slots = [e.pairs.index(m.source[0]) for m in tail]
             assert slots == sorted(slots)
+
+
+def test_move_targets_equal_their_checked_construction():
+    # targets are built unchecked; each must be the value the validating constructor builds
+    count = 0
+    for n in range(1, 9):
+        for e in all_involutions(n):
+            for m in (*descendant_moves(e), *ancestor_moves(e), *cover_moves(e)):
+                checked = Involution(n, m.target.pairs)
+                assert m.target == checked and hash(m.target) == hash(checked)
+                assert str(m.target) == str(checked) and vars(m.target) == vars(checked)
+                count += 1
+    assert count == 11_363

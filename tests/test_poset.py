@@ -102,7 +102,7 @@ def test_intersect_component_invariants():
                 if result.irreducible:
                     assert rank_matrix(result.components[0]) == result.meet
                 for comp in result.components:
-                    assert leq(comp, a) and leq(comp, b)
+                    assert leq(rank_matrix(comp), rank_matrix(a)) and leq(rank_matrix(comp), rank_matrix(b))
 
 
 class BruteMaximal:
@@ -117,7 +117,7 @@ class BruteMaximal:
         }
 
     def __call__(self, a, b):
-        bound = meet(a, b)
+        bound = meet(rank_matrix(a), rank_matrix(b))
         down = {x for x in self.els if leq(self.mats[x], bound)}
         return sorted(x for x in down if self.strictly_above[x].isdisjoint(down))
 
@@ -146,9 +146,9 @@ def test_intersect_maximal_images_n12():
     result = intersect(a, b)
     assert result.components
     for comp in result.components:
-        assert leq(comp, a) and leq(comp, b)
+        assert leq(rank_matrix(comp), rank_matrix(a)) and leq(rank_matrix(comp), rank_matrix(b))
     for x, y in itertools.permutations(result.components, 2):
-        assert not leq(x, y)
+        assert not leq(rank_matrix(x), rank_matrix(y))
     assert result.irreducible == (len(result.components) == 1)
 
 
@@ -357,13 +357,14 @@ def test_search_outputs_equal_validated_involutions():
 
 def test_intersect_answers_comparable_pairs_and_valid_meets_without_a_search(monkeypatch):
     comparable = [
-        (a, b) for n in range(1, 7) for a in all_involutions(n) for b in all_involutions(n) if leq(a, b)
+        (a, b) for n in range(1, 7) for a in all_involutions(n) for b in all_involutions(n)
+        if leq(rank_matrix(a), rank_matrix(b))
     ]
     valid_meets = [
         (sigma_T(t), sigma_T(s))
         for k in range(5)
         for t, s in itertools.combinations(enumerate_tableaux(8, k), 2)
-        if is_valid(meet(sigma_T(t), sigma_T(s)))
+        if is_valid(meet(rank_matrix(sigma_T(t)), rank_matrix(sigma_T(s))))
     ]
     assert len(valid_meets) > 100
 
@@ -379,7 +380,7 @@ def test_intersect_answers_comparable_pairs_and_valid_meets_without_a_search(mon
             assert result.irreducible
     for a, b in valid_meets:
         result = intersect(a, b)
-        assert result.components == (from_rank_matrix(meet(a, b)),) and result.irreducible
+        assert result.components == (from_rank_matrix(meet(rank_matrix(a), rank_matrix(b))),) and result.irreducible
         assert result.codim == dimension(a) - dimension(result.components[0])
 
 
@@ -390,7 +391,7 @@ def test_a_meet_is_valid_exactly_when_it_is_an_image_to_n7():
         images = {rank_matrix(x) for x in els}
         pairs = valid = 0
         for a, b in itertools.combinations(els, 2):
-            bound = meet(a, b)
+            bound = meet(rank_matrix(a), rank_matrix(b))
             assert is_valid(bound) == (bound in images), (a, b)
             pairs, valid = pairs + 1, valid + (bound in images)
     assert (pairs, valid) == (26_796, 19_910)

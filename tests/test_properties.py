@@ -50,7 +50,7 @@ def test_images_are_valid_and_recover(e):
 @checked
 @given(pairs_of_involutions)
 def test_a_valid_meet_recovers_to_its_own_involution(pair):
-    bound = meet(*pair)
+    bound = meet(*map(rank_matrix, pair))
     if is_valid(bound):
         assert rank_matrix(from_rank_matrix(bound)) == bound
     else:
