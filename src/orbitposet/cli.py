@@ -261,11 +261,13 @@ COMMANDS = (
              (("t", "tableau"), ("s", "tableau")), _rs_witness),
 )
 
-# Help of a one-input command's argument, by kind; of the others', by name.
+# Help of an argument by kind; an integer's by name.
 _INPUT_HELP = {
     "involution": "e.g. '(1,5)(3,4)' (identity: id)",
     "tableau": "e.g. '1,2,3,6|4,5,7,8'",
     "matrix": "dense JSON array, e.g. '[[0,1],[0,0]]'",
+    "involution-or-matrix": "an involution (needs --n), e.g. '(1,5)(3,4)', "
+    "or a dense JSON rank matrix",
 }
 _ARGUMENT_HELP = {"i": "entry of the first column", "j": "entry of the second column"}
 
@@ -340,8 +342,9 @@ def build_parser() -> _Parser:
     for command in COMMANDS:
         p = add(command.name, partial(_run_command, command), command.help)
         for name, kind in command.inputs:
-            help_text = (f"{_INPUT_HELP[kind]}, or - for one per line on stdin"
-                         if len(command.inputs) == 1 else _ARGUMENT_HELP.get(name))
+            help_text = _ARGUMENT_HELP[name] if kind == "integer" else _INPUT_HELP[kind]
+            if len(command.inputs) == 1:
+                help_text += ", or - for one per line on stdin"
             p.add_argument(name, type=int if kind == "integer" else None, help=help_text)
         if any(kind in ("involution", "involution-or-matrix") for _, kind in command.inputs):
             p.add_argument("--n", type=int)

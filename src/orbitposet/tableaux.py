@@ -38,6 +38,8 @@ class ColumnPairArray:
         col1, col2, n = self.col1, self.col2, self.n
         if n < 1:
             raise InvalidTableau("empty tableau")
+        if not col1:  # it would print as "|...", which parse refuses
+            raise InvalidTableau("first column must be nonempty")
         for col in (col1, col2):
             if any(col[i] >= col[i + 1] for i in range(len(col) - 1)):
                 raise InvalidTableau("column entries must strictly increase")
@@ -232,16 +234,22 @@ def codim1_partners(tab: TwoColumnTableau) -> set[TwoColumnTableau]:
     return out
 
 
-def enumerate_tableaux(n: int, k: int) -> Iterator[TwoColumnTableau]:
-    """All two-column tableaux with column lengths (n-k, k), lexicographically.
+def _ballot_columns(n: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The columns ``(col1, col2)`` of every tableau with column lengths (n-k, k).
 
     A k-subset works as the second column iff its r-th smallest entry is at
-    least 2r (the ballot condition).
+    least 2r (the ballot condition).  The order is lexicographic in ``col2``;
+    the columns are not validated as a tableau.
     """
     if not 0 <= k <= n // 2:
         return
     everything = set(range(1, n + 1))
     for col2 in combinations(range(1, n + 1), k):
         if all(c >= 2 * (r + 1) for r, c in enumerate(col2)):
-            col1 = tuple(sorted(everything - set(col2)))
-            yield TwoColumnTableau(col1, col2)
+            yield tuple(sorted(everything - set(col2))), col2
+
+
+def enumerate_tableaux(n: int, k: int) -> Iterator[TwoColumnTableau]:
+    """All two-column tableaux with column lengths (n-k, k), lexicographically."""
+    for col1, col2 in _ballot_columns(n, k):
+        yield TwoColumnTableau(col1, col2)

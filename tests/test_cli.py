@@ -485,3 +485,14 @@ def test_the_commands_that_read_an_input_are_the_table_rows():
     assert positional == {c.name for c in COMMANDS}
     assert {c.name for c in COMMANDS if len(c.inputs) == 1} == set(STDIN_INPUTS)
     assert set(sub.choices) - positional == {"hasse", "enumerate", "verify"}
+
+
+def test_every_positional_of_a_table_row_has_help():
+    from orbitposet.cli import COMMANDS, build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    for command in COMMANDS:
+        positionals = [a for a in sub.choices[command.name]._actions if not a.option_strings]
+        assert [a.dest for a in positionals] == [name for name, _ in command.inputs]
+        for action in positionals:
+            assert action.help, f"{command.name} {action.dest} has no help"

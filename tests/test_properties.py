@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitposet import (
+    ColumnPairArray,
     InvalidRankMatrix,
+    TwoColumnTableau,
     ancestor_moves,
     ancestors,
     canonicalize,
+    change,
     cover,
     descendant_moves,
     descendants,
@@ -95,3 +98,26 @@ def test_dimension_is_at_most_k_times_n_minus_k(e):
     top = e.length * (e.n - e.length)
     assert dimension(e) <= top
     assert (dimension(e) == top) == (not ancestors(e))
+
+
+@st.composite
+def tableau_and_exchange(draw):
+    """A two-column tableau with k >= 1 and one entry of each column."""
+    flags = draw(st.lists(st.booleans(), min_size=2, max_size=MAX_N))
+    col1, col2 = [1], []
+    for v, second in enumerate(flags[1:], start=2):
+        # the r-th entry of the second column comes after r + 1 first-column entries
+        (col2 if second and len(col2) < len(col1) else col1).append(v)
+    if not col2:
+        col1.remove(2)
+        col2.append(2)
+    tab = TwoColumnTableau(tuple(col1), tuple(col2))
+    return tab, draw(st.sampled_from(tab.col1)), draw(st.sampled_from(tab.col2))
+
+
+@checked
+@given(tableau_and_exchange())
+def test_change_results_print_and_reparse(case):
+    tab, i, j = case
+    arr = change(tab, i, j)
+    assert ColumnPairArray.parse(str(arr)) == arr

@@ -1,6 +1,7 @@
 """Row insertion, its inverse, and the codimension-one witness search."""
 
 import itertools
+import random
 
 import pytest
 
@@ -87,6 +88,42 @@ def test_swap_values():
     assert swap_values(swap_values((5, 2, 4, 1, 3), 2), 2) == (5, 2, 4, 1, 3)
 
 
+def _reference_witness(t_tab, s_tab):
+    """The scan ``find_rs_witness`` replaced: two whole words per candidate, every m."""
+    if t_tab == s_tab:
+        return None
+    n = t_tab.n
+    t_std, s_std = standard_from_two_column(t_tab), standard_from_two_column(s_tab)
+    for cand in enumerate_tableaux(n, t_tab.k):
+        p_std = standard_from_two_column(cand)
+        wt, ws = rs_word(t_std, p_std), rs_word(s_std, p_std)
+        for m in range(1, n):
+            if wt == swap_values(ws, m):
+                return cand, m
+    return None
+
+
+def test_witness_matches_reference_scan_exhaustive():
+    for n in range(1, 9):
+        for k in range(n // 2 + 1):
+            tabs = list(enumerate_tableaux(n, k))
+            for t_tab, s_tab in itertools.product(tabs, repeat=2):
+                assert find_rs_witness(t_tab, s_tab) == _reference_witness(t_tab, s_tab)
+
+
+def test_witness_matches_reference_scan_random():
+    rng = random.Random(13)
+    tabs = {(n, k): list(enumerate_tableaux(n, k)) for n in range(10, 17) for k in (2, 3)}
+    hits = 0
+    for _ in range(200):
+        pool = tabs[rng.randint(10, 16), rng.randint(2, 3)]
+        t_tab, s_tab = rng.choice(pool), rng.choice(pool)
+        witness = find_rs_witness(t_tab, s_tab)
+        assert witness == _reference_witness(t_tab, s_tab)
+        hits += witness is not None
+    assert hits  # the draw reaches the hit path, not only full scans
+
+
 def test_witness_exists_for_adjacent_change():
     t_tab = TwoColumnTableau((1, 2), (3, 4))
     s_tab = TwoColumnTableau((1, 3), (2, 4))
@@ -137,3 +174,13 @@ def test_two_pair_equivalence_small():
             has_witness = find_rs_witness(t_tab, s_tab) is not None
             codim_one = intersect(sigma_T(t_tab), sigma_T(s_tab)).codim == 1
             assert has_witness == codim_one
+
+
+@pytest.mark.parametrize("n", range(8, 12))
+def test_two_pair_equivalence_past_seven(n):
+    # the criterion for column shape (n-2, 2), past the oracle's n <= 7
+    tabs = list(enumerate_tableaux(n, 2))
+    for t_tab, s_tab in itertools.combinations(tabs, 2):
+        has_witness = find_rs_witness(t_tab, s_tab) is not None
+        codim_one = intersect(sigma_T(t_tab), sigma_T(s_tab)).codim == 1
+        assert has_witness == codim_one

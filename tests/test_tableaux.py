@@ -55,6 +55,14 @@ def test_validation():
         TwoColumnTableau((1, 2), (2, 4))  # not a partition of 1..n
 
 
+def test_an_array_needs_a_first_column():
+    # "|1" is not the text format, so such an array could not print and reparse
+    with pytest.raises(InvalidTableau):
+        ColumnPairArray((), (1,))
+    with pytest.raises(ParseError):
+        ColumnPairArray.parse("|1")
+
+
 def test_sigma_T_worked_example():
     assert sigma_pairs_by_b(EXAMPLE) == ((3, 4), (2, 5), (6, 7), (1, 8))
     assert sigma_T(EXAMPLE) == inv("(1,8)(2,5)(3,4)(6,7)", 8)
