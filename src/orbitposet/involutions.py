@@ -120,21 +120,11 @@ def _trusted(n: int, pairs: tuple[Pair, ...]) -> Involution:
 def canonicalize(pairs: Iterable[tuple[int, int]], n: int) -> Involution:
     """Build an involution from pairs in any order, any within-pair order.
 
-    Raises OutOfRange for entries outside 1..n and DuplicateEntry when an
-    integer occurs twice (including twice within one pair).
+    Only normalises and sorts; the constructor then raises OutOfRange for a
+    bad rank or an entry outside 1..n, and DuplicateEntry when an integer
+    occurs twice (including twice within one pair).
     """
-    seen: set[int] = set()
-    norm: list[Pair] = []
-    for a, b in pairs:
-        for x in (a, b):
-            if not 1 <= x <= n:
-                raise OutOfRange(f"entry {x} outside 1..{n}")
-            if x in seen:
-                raise DuplicateEntry(f"entry {x} appears twice")
-            seen.add(x)
-        norm.append((a, b) if a < b else (b, a))
-    norm.sort()
-    return Involution(n, tuple(norm))
+    return Involution(n, tuple(sorted((a, b) if a < b else (b, a) for a, b in pairs)))
 
 
 def q_values(inv: Involution) -> list[int]:

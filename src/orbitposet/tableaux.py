@@ -181,7 +181,9 @@ def change_candidates_high(tab: TwoColumnTableau) -> list[tuple[int, tuple[int, 
     Only first-column entries ``a`` with ``a - 1`` in the second column can
     move; the partners ``b_p`` are ``a - 1`` itself, or any earlier
     second-column entry such that the pairs between it and ``a - 1`` in the
-    b-ordered presentation tile the interval ``(b_p, a)`` exactly.
+    b-ordered presentation tile the interval ``(b_p, a)`` exactly.  Those
+    pairs close inside the interval, so they tile it exactly when each opens
+    after ``b_p`` and there are ``(a - 1 - b_p) / 2`` of them.
     """
     by_b = sigma_pairs_by_b(tab)
     bs = [b for _, b in by_b]
@@ -190,18 +192,13 @@ def change_candidates_high(tab: TwoColumnTableau) -> list[tuple[int, tuple[int, 
     for a in tab.col1:
         if a - 1 not in col2:
             continue
-        t_idx = bs.index(a - 1)
-        hits: list[int] = []
-        for p0, (_, b_p) in enumerate(by_b):
-            if b_p == a - 1:
-                hits.append(b_p)
-            elif b_p < a - 1:
-                interval = set(range(b_p + 1, a))
-                entries = {x for q in range(p0 + 1, t_idx + 1) for x in by_b[q]}
-                if interval == entries:
-                    hits.append(b_p)
-        if hits:
-            out.append((a, tuple(sorted(hits))))
+        t = bs.index(a - 1)
+        hits = tuple(
+            b_p
+            for p, b_p in enumerate(bs[: t + 1])
+            if 2 * (t - p) == a - 1 - b_p and all(i > b_p for i, _ in by_b[p + 1 : t + 1])
+        )
+        out.append((a, hits))
     return out
 
 

@@ -263,6 +263,14 @@ def test_malformed_matrices_exit_one(capsys, command, matrix):
     assert one_error_line(err), err
 
 
+@pytest.mark.parametrize("text", ["(1,2)", "id"])
+def test_zero_rank_reports_the_rank_whatever_the_pairs(capsys, text):
+    # the rank is checked before any entry, so a pair cannot mask it
+    code, out, err = run(capsys, "dim", text, "--n", "0")
+    assert code == 1 and out == ""
+    assert err == "error: ambient rank must be >= 1, got 0\n"
+
+
 @pytest.mark.parametrize("selector", [["--all"], ["--suite", "counts"], ["--suite", "rs"]])
 @pytest.mark.parametrize("output", [[], ["--json"]])
 def test_verify_negative_k_exits_one(capsys, selector, output):

@@ -1,19 +1,24 @@
 """Move families pinned against every worked example, plus set-level laws."""
 
+import random
+
 import pytest
 
 from orbitposet import (
     IndexOutOfRange,
     Involution,
+    MoveOutcome,
     all_involutions,
     ancestor_moves,
     ancestors,
     brute_covers,
+    canonicalize,
     closure,
     cover,
     cover_moves,
     cross_down,
     cross_up,
+    delete_pair,
     descendant_moves,
     descendants,
     dimension,
@@ -303,3 +308,120 @@ def test_move_targets_equal_their_checked_construction():
                 assert str(m.target) == str(checked) and vars(m.target) == vars(checked)
                 count += 1
     assert count == 11_363
+
+
+# The three rules as they stood before they read a partner table: each builds
+# its own view of the moved points per call and its targets go through the
+# validating constructor.  The table-driven rules must reproduce them exactly.
+def _reference_replace(e, changes):
+    return Involution(e.n, tuple(sorted(changes.get(idx, p) for idx, p in enumerate(e.pairs))))
+
+
+def _reference_shift(e, s, end, outward):
+    pair = e.pairs[s - 1]
+    old, far = pair[end], pair[1 - end]
+    step = 1 if bool(end) == outward else -1
+    stop = far if not outward else (e.n + 1 if step > 0 else 0)
+    moved = {x for p in e.pairs for x in p}
+    new = old + step
+    while new != stop and new in moved:
+        new += step
+    if new == stop:
+        return None
+    lo, hi = sorted((old, new))
+    if any(lo < p[end] < hi and (p[1] > far if end == 0 else p[0] < far) for p in e.pairs):
+        return None
+    return _reference_replace(e, {s - 1: (new, far) if end == 0 else (far, new)})
+
+
+def _reference_swap_moves(e, s, nested):
+    i_s, j_s = e.pairs[s - 1]
+    out = []
+    for t0, (i_t, j_t) in enumerate(e.pairs):
+        if not i_s < i_t < j_s or (j_t < j_s) != nested:
+            continue
+        lo, hi = sorted((j_s, j_t))
+        if not any(lo < j_q < hi for i_q, j_q in e.pairs if i_s < i_q < i_t):
+            target = _reference_replace(e, {s - 1: (i_s, j_t), t0: (i_t, j_s)})
+            out.append((((i_s, j_s), (i_t, j_t)), target))
+    return out
+
+
+def _reference_cross_moves(e, t, down):
+    i_t, j_t = e.pairs[t - 1]
+    partner = {x: y for p in e.pairs for x, y in (p, p[::-1])}
+    out = []
+    for s0, (i_s, j_s) in enumerate(e.pairs):
+        if not (j_s < i_t if down else i_s < i_t < j_s < j_t):
+            continue
+        lo, hi = sorted((j_s, i_t))
+        if not all(i_s < partner.get(x, 0) < j_t for x in range(lo + 1, hi)):
+            continue
+        target = _reference_replace(e, {s0: (i_s, i_t), t - 1: (j_s, j_t)})
+        out.append((((i_s, j_s), (i_t, j_t)), target))
+    return out
+
+
+def _reference_outcomes(e, down):
+    out = []
+    for tag, end in (("move_down", 0), ("move_right", 1)) if down else (("move_up", 0), ("move_left", 1)):
+        for s, pair in enumerate(e.pairs, 1):
+            target = _reference_shift(e, s, end, down)
+            if target is not None:
+                out.append(MoveOutcome(tag, (pair,), target))
+    for tag, rule in ((("cross_down", _reference_cross_moves), ("swap_down", _reference_swap_moves))
+                      if down else (("cross_up", _reference_cross_moves), ("swap_up", _reference_swap_moves))):
+        for t in range(1, e.length + 1):
+            out += [MoveOutcome(tag, source, target) for source, target in rule(e, t, down)]
+    return out
+
+
+def _reference_cover_moves(e):
+    out = _reference_outcomes(e, True)
+    for s, pair in enumerate(e.pairs, 1):
+        target = delete_pair(e, s)
+        if dimension(target) == dimension(e) - 1:
+            out.append(MoveOutcome("delete", (pair,), target))
+    return out
+
+
+def _random_involution(rng, n):
+    points = rng.sample(range(1, n + 1), 2 * rng.randint(0, n // 2))
+    return canonicalize(zip(points[::2], points[1::2]), n)
+
+
+def test_rules_match_the_reference_rules():
+    rng = random.Random(14)
+    pool = [e for n in range(1, 9) for e in all_involutions(n)]
+    pool += [_random_involution(rng, rng.randint(9, 40)) for _ in range(2000)]
+    single = ((move_down, 0, True), (move_up, 0, False), (move_right, 1, True), (move_left, 1, False))
+    paired = ((cross_down, _reference_cross_moves, True), (cross_up, _reference_cross_moves, False),
+              (swap_down, _reference_swap_moves, True), (swap_up, _reference_swap_moves, False))
+    for e in pool:
+        assert descendant_moves(e) == _reference_outcomes(e, True), e
+        assert ancestor_moves(e) == _reference_outcomes(e, False), e
+        assert cover_moves(e) == _reference_cover_moves(e), e
+        for s in range(1, e.length + 1):
+            for move, end, outward in single:
+                assert move(e, s) == _reference_shift(e, s, end, outward), (e, s)
+            for move, rule, flag in paired:
+                assert move(e, s) == {target for _, target in rule(e, s, flag)}, (e, s)
+
+
+def test_cross_moves_keep_the_minimality_neighbourhood():
+    # Where a cross move's pairs (i_s, j_s), (i_t, j_t) are sequential, no pair
+    # opening before i_s closes between them, and a pair opening between i_s
+    # and i_t ends before j_s or closes before j_t.
+    seen = 0
+    for n in range(1, 9):
+        for e in all_involutions(n):
+            sides = [(e, m.source) for m in descendant_moves(e) if m.kind == "cross_down"]
+            sides += [(m.target, ((i_s, i_t), (j_s, j_t)))
+                      for m in ancestor_moves(e) if m.kind == "cross_up"
+                      for (i_s, j_s), (i_t, j_t) in [m.source]]
+            for seq, ((i_s, j_s), (i_t, j_t)) in sides:
+                assert j_s < i_t
+                assert all(j_p < j_s or j_p > i_t for i_p, j_p in seq.pairs if i_p < i_s)
+                assert all(i_p < j_s or j_p < j_t for i_p, j_p in seq.pairs if i_s < i_p < i_t)
+                seen += 1
+    assert seen
