@@ -197,36 +197,28 @@ def enumerate_involutions(n: int, k: int | None = None) -> Iterator[Involution]:
     """Yield every involution of rank n (or only those with k pairs).
 
     Emission order is lexicographic on the flattened canonical pair list,
-    so identity comes first and the order is reproducible.
+    so identity comes first and the order is reproducible.  The recursion is
+    pure: its whole state is its arguments, the pairs so far as a tuple, the
+    used points as the bits of one int, and the smallest first entry left.
     """
     if n < 1:
         raise OutOfRange(f"ambient rank must be >= 1, got {n}")
     if k is not None and not 0 <= k <= n // 2:
         raise BadRank(f"k={k} outside 0..{n // 2} for n={n}")
 
-    prefix: list[Pair] = []
-    used: set[int] = set()
-
-    def rec(min_first: int) -> Iterator[Involution]:
-        if k is None or len(prefix) == k:
-            yield _trusted(n, tuple(prefix))
+    def rec(pairs: tuple[Pair, ...], used: int, min_first: int) -> Iterator[Involution]:
+        if k is None or len(pairs) == k:
+            yield _trusted(n, pairs)
             if k is not None:
                 return
         for i in range(min_first, n + 1):
-            if i in used:
+            if used >> i & 1:
                 continue
-            used.add(i)
             for j in range(i + 1, n + 1):
-                if j in used:
-                    continue
-                used.add(j)
-                prefix.append((i, j))
-                yield from rec(i + 1)
-                prefix.pop()
-                used.discard(j)
-            used.discard(i)
+                if not used >> j & 1:
+                    yield from rec(pairs + ((i, j),), used | 1 << i | 1 << j, i + 1)
 
-    yield from rec(1)
+    yield from rec((), 0, 1)
 
 
 @lru_cache(maxsize=None)

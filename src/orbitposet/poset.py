@@ -72,7 +72,7 @@ def closure(inv: Involution) -> set[Involution]:
     Enumerated by :func:`_below_bound` under the rank matrix of ``inv``, so
     the cost follows the size of the closure.
     """
-    return {_trusted(inv.n, pairs) for pairs, _ in _below_bound(rank_matrix(inv))}
+    return {_trusted(inv.n, pairs) for pairs, _, _ in _below_bound(rank_matrix(inv))}
 
 
 def intersect(

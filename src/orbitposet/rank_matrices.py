@@ -186,9 +186,6 @@ class RankMatrix:
                     raise InvalidRankMatrix(f"entry ({i},{j}) on or below the diagonal must be 0")
         return cls(n, tuple(cells))
 
-    def to_json_dict(self) -> dict:
-        return {"rank_matrix": self.to_rows()}
-
     def format_grid(self) -> str:
         """Aligned text grid for terminal display."""
         rows = self.to_rows()
@@ -291,14 +288,26 @@ def from_rank_matrix(r: RankMatrix) -> Involution:
     return inv
 
 
-def _below_bound(bound: RankMatrix) -> Iterator[tuple[tuple[Pair, ...], int]]:
+_Node = tuple[tuple[Pair, ...], int, int]  # pairs, packed counts, used points
+
+
+def _below_bound(bound: RankMatrix) -> Iterator[_Node]:
     """Every involution whose rank matrix lies entrywise below ``bound``.
 
-    Yields the canonical pairs and the packed rank matrix, for
-    :meth:`RankMatrix._from_packed`.  A depth-first search adds pairs with
-    increasing first entries; adding ``(a, b)`` adds its window mask.  Counts
-    only grow, so a branch is dropped as soon as one window would pass the
-    bound, and the work follows the size of the output.  Each involution is
+    Yields the canonical pairs, the packed rank matrix (for
+    :meth:`RankMatrix._from_packed`) and the used points as the bits of one
+    int.  A pure depth-first recursion, whose whole state is those three
+    fields and the smallest first entry left, adds pairs with increasing first
+    entries; adding ``(a, b)`` adds its window mask.  Counts only grow, so a
+    branch is dropped as soon as one window would pass the bound.
+
+    The fit rule: ``(a, b)`` raises the windows ``(i, j)`` with ``i <= a``
+    and ``j >= b``, a subset of what ``(a', b')`` raises when ``a <= a'`` and
+    ``b >= b'``.  So at one first entry, once a second entry fails every
+    smaller one fails too; and the first pair tried at ``a``, ``(a, last
+    free point)``, is the weakest pair there and at every later first entry,
+    so if it fails the node is done.  The cuts skip only tests that would
+    fail, and the work follows the size of the output.  Each involution is
     yielded once, in no promised order.  ``bound`` must have width
     ``_width(n)``, as every meet of involutions' matrices has.
     """
@@ -306,30 +315,26 @@ def _below_bound(bound: RankMatrix) -> Iterator[tuple[tuple[Pair, ...], int]]:
     masks = _pair_masks(n)
     guard = _guard(n, _width(n))
     cap = bound.packed | guard
-    used = [False] * (n + 1)
-    prefix: list[Pair] = []
+    points = (1 << (n + 1)) - 2  # bit x for each point x in 1..n
 
-    def rec(min_first: int, counts: int) -> Iterator[tuple[tuple[Pair, ...], int]]:
-        yield tuple(prefix), counts
-        for a in range(min_first, n):
-            if used[a]:
+    def rec(pairs: tuple[Pair, ...], counts: int, used: int, min_first: int) -> Iterator[_Node]:
+        yield pairs, counts, used
+        last = (points & ~used).bit_length() - 1  # the largest free point
+        for a in range(min_first, last):
+            if used >> a & 1:
                 continue
             row = masks[a]
-            # (a, b) raises a superset of the windows (a, b + 1) raises, so
-            # once one second entry fails every smaller one fails too.
-            for b in range(n, a, -1):
-                if used[b]:
+            for b in range(last, a, -1):
+                if used >> b & 1:
                     continue
                 raised = counts + row[b]
                 if (cap - raised) & guard != guard:
+                    if b == last:  # the weakest pair at a fails, so every later a fails
+                        return
                     break
-                used[a] = used[b] = True
-                prefix.append((a, b))
-                yield from rec(a + 1, raised)
-                prefix.pop()
-                used[a] = used[b] = False
+                yield from rec(pairs + ((a, b),), raised, used | 1 << a | 1 << b, a + 1)
 
-    return rec(1, 0)
+    return rec((), 0, 0, 1)
 
 
 def _maximal_below(bound: RankMatrix) -> list[tuple[Pair, ...]]:
@@ -339,14 +344,13 @@ def _maximal_below(bound: RankMatrix) -> list[tuple[Pair, ...]]:
     which no free pair can be added within the bound.  Adding a pair raises
     the rank matrix, so an unsaturated node lies strictly below another node
     and is not maximal; and as every node lies below a maximal one, the
-    maximal saturated nodes are the maximal nodes.  A pair ``(a, b)`` raises
-    the windows ``(i, j)`` with ``i <= a`` and ``j >= b``, so the pair of
-    the first and the last free point raises a subset of what any other free
-    pair raises, and one fit test on it decides saturation.  The saturated
-    nodes are then filtered as packed ints with the guard-bit test: a
-    candidate below a kept node is dropped, otherwise it replaces the kept
-    nodes below it.  The order of the result is not promised, and ``bound``
-    must have width ``_width(n)``, as for :func:`_below_bound`.
+    maximal saturated nodes are the maximal nodes.  By the fit rule of
+    :func:`_below_bound`, the pair of the first and the last free point is
+    the weakest free pair, and one fit test on it decides saturation.  The
+    saturated nodes are then filtered as packed ints with the guard-bit
+    test: a candidate below a kept node is dropped, otherwise it replaces the
+    kept nodes below it.  The order of the result is not promised, and
+    ``bound`` must have width ``_width(n)``, as for :func:`_below_bound`.
     """
     n = bound.n
     masks = _pair_masks(n)
@@ -354,10 +358,8 @@ def _maximal_below(bound: RankMatrix) -> list[tuple[Pair, ...]]:
     cap = bound.packed | guard
     points = (1 << (n + 1)) - 2  # bit x for each point x in 1..n
     kept: list[tuple[tuple[Pair, ...], int]] = []
-    for pairs, counts in _below_bound(bound):
-        free = points
-        for a, b in pairs:
-            free ^= (1 << a) | (1 << b)
+    for pairs, counts, used in _below_bound(bound):
+        free = points & ~used
         if free & (free - 1):  # two free points or more
             first, last = (free & -free).bit_length() - 1, free.bit_length() - 1
             if (cap - counts - masks[first][last]) & guard == guard:

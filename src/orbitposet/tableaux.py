@@ -14,7 +14,6 @@ Text format: columns separated by ``|``, entries comma-separated, e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 from .errors import InvalidTableau, NotInColumn, OutOfRange, ParseError
@@ -222,12 +221,8 @@ def codim1_partners(tab: TwoColumnTableau) -> set[TwoColumnTableau]:
     sigma = sigma_T(tab)
     out: set[TwoColumnTableau] = set()
     for lower in descendants(sigma):
-        for upper in ancestors(lower):
-            if upper == sigma:
-                continue
-            other = tableau_of(upper)
-            if other is not None:
-                out.add(other)
+        # lower has dimension k(n-k) - 1, so each ancestor is maximal and has a tableau
+        out.update(tableau_of(upper) for upper in ancestors(lower) if upper != sigma)
     return out
 
 
@@ -235,15 +230,24 @@ def _ballot_columns(n: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int
     """The columns ``(col1, col2)`` of every tableau with column lengths (n-k, k).
 
     A k-subset works as the second column iff its r-th smallest entry is at
-    least 2r (the ballot condition).  The order is lexicographic in ``col2``;
-    the columns are not validated as a tableau.
+    least 2r (the ballot condition), so the second column is built entry by
+    entry: its r-th entry runs from ``max(previous + 1, 2r)`` to
+    ``n - (k - r)``, and every prefix extends to a tableau.  The order is
+    lexicographic in ``col2``; the columns are not validated as a tableau.
     """
     if not 0 <= k <= n // 2:
         return
-    everything = set(range(1, n + 1))
-    for col2 in combinations(range(1, n + 1), k):
-        if all(c >= 2 * (r + 1) for r, c in enumerate(col2)):
-            yield tuple(sorted(everything - set(col2))), col2
+
+    def rec(col2: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        r = len(col2) + 1
+        if r > k:
+            taken = set(col2)
+            yield tuple(x for x in range(1, n + 1) if x not in taken), col2
+            return
+        for c in range(max(col2[-1] + 1 if col2 else 0, 2 * r), n - k + r + 1):
+            yield from rec(col2 + (c,))
+
+    yield from rec(())
 
 
 def enumerate_tableaux(n: int, k: int) -> Iterator[TwoColumnTableau]:

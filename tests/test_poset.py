@@ -32,7 +32,7 @@ from orbitposet import (
     sigma_T,
     sigma_o,
 )
-from orbitposet import poset
+from orbitposet import poset, rank_matrices
 from orbitposet.errors import TooLarge
 from orbitposet.rank_matrices import _below_bound
 
@@ -266,6 +266,27 @@ def test_closure_cost_follows_its_output():
     assert closure(Involution.identity(300)) == {Involution.identity(300)}
 
 
+def test_closure_search_stops_at_the_weakest_failing_pair(monkeypatch):
+    # at each node the first failing pair (a, last free point) ends the node:
+    # two mask reads per member of closure((1,2)), not one per pair tried
+    reads = []
+    masks = rank_matrices._pair_masks
+
+    class CountedRow:
+        def __init__(self, row):
+            self.row = row
+
+        def __getitem__(self, b):
+            reads.append(b)
+            return self.row[b]
+
+    monkeypatch.setattr(rank_matrices, "_pair_masks", lambda n: (None, *map(CountedRow, masks(n)[1:])))
+    n = 100
+    got = closure(Involution(n, ((1, 2),)))
+    assert got == {Involution.identity(n)} | {Involution(n, ((1, b),)) for b in range(2, n + 1)}
+    assert len(reads) <= 2 * n, len(reads)
+
+
 def _reference_below_bound(bound):
     """The search before packing: window counts as a list, checked one cell at a time.
 
@@ -333,7 +354,7 @@ def test_search_matches_the_cell_count_reference(n):
         expected = list(_reference_below_bound(result.meet))
         assert list(result.components) == _reference_maximal(n, expected), (a, b)
         # same search order, and every packed count unpacks to the reference cells
-        searched = [(p, RankMatrix._from_packed(n, c).cells) for p, c in _below_bound(result.meet)]
+        searched = [(p, RankMatrix._from_packed(n, c).cells) for p, c, _ in _below_bound(result.meet)]
         assert searched == expected, (a, b)
 
 

@@ -177,12 +177,6 @@ def test_grid_format():
     assert len(grid.splitlines()) == 5
 
 
-def test_json_dict():
-    d = rank_matrix(inv("(1,5)(3,4)", 5)).to_json_dict()
-    assert d == {"rank_matrix": R_A_ROWS}
-    assert RankMatrix.from_rows(d["rank_matrix"]) == rank_matrix(inv("(1,5)(3,4)", 5))
-
-
 def _tuple_leq(a, b):
     return all(map(le, a.cells, b.cells))
 

@@ -1,5 +1,7 @@
 """Two-column tableaux, the maximal-orbit map, and exchange partner rules."""
 
+from itertools import combinations
+
 import pytest
 
 from orbitposet import (
@@ -29,6 +31,8 @@ from orbitposet import (
     sigma_pairs_by_b,
     tableau_of,
 )
+
+from orbitposet.tableaux import _ballot_columns
 
 EXAMPLE = TwoColumnTableau((1, 2, 3, 6), (4, 5, 7, 8))
 
@@ -256,3 +260,19 @@ def test_codim_one_through_the_grading():
                         assert from_rank_matrix(meet(ranks[t], ranks[s])) == below[0], (t, s)
                         codim_one += 1
     assert codim_one == 11_520
+
+
+def _reference_ballot_columns(n, k):
+    """Every k-subset of 1..n in lexicographic order, kept when it is a ballot column."""
+    if not 0 <= k <= n // 2:
+        return
+    everything = set(range(1, n + 1))
+    for col2 in combinations(range(1, n + 1), k):
+        if all(c >= 2 * (r + 1) for r, c in enumerate(col2)):
+            yield tuple(sorted(everything - set(col2))), col2
+
+
+def test_ballot_columns_match_the_subset_filter():
+    for n in range(15):
+        for k in range(-1, n // 2 + 2):
+            assert list(_ballot_columns(n, k)) == list(_reference_ballot_columns(n, k)), (n, k)
