@@ -92,7 +92,6 @@ from .rs import (
     rs_pair,
     rs_word,
     standard_from_two_column,
-    swap_values,
     two_column_from_standard,
 )
 from .tableaux import (

@@ -207,7 +207,7 @@ def _change(tab: TwoColumnTableau, i: int, j: int, args):
 
 
 def _rs_witness(t: TwoColumnTableau, s: TwoColumnTableau, args):
-    witness = find_rs_witness(t, s)
+    witness = find_rs_witness(t, s, args.max_candidates)
     if witness is None:
         return {"witness": None}, "none"
     p, m = witness
@@ -352,6 +352,8 @@ def build_parser() -> _Parser:
     p = sub.choices["intersect"]
     p.add_argument("--force", action="store_true", help="allow unequal cycle counts")
     p.add_argument("--max-n", type=int, dest="max_n", help="raise the feasibility guard")
+    sub.choices["rs-witness"].add_argument(
+        "--max-candidates", type=int, dest="max_candidates", help="raise the candidate-count guard")
 
     p = add("hasse", _cmd_hasse, "cover edges of the closure order")
     p.add_argument("--n", type=int, required=True)

@@ -69,15 +69,6 @@ class Involution:
         """Number of 2-cycles (not Coxeter length)."""
         return len(self.pairs)
 
-    def support(self) -> tuple[int, ...]:
-        """Entries moved by the involution, ascending."""
-        return tuple(sorted(x for p in self.pairs for x in p))
-
-    def support_complement(self) -> tuple[int, ...]:
-        """Fixed points, ascending."""
-        moved = {x for p in self.pairs for x in p}
-        return tuple(x for x in range(1, self.n + 1) if x not in moved)
-
     def __str__(self) -> str:
         if not self.pairs:
             return "id"
@@ -200,6 +191,8 @@ def enumerate_involutions(n: int, k: int | None = None) -> Iterator[Involution]:
     so identity comes first and the order is reproducible.  The recursion is
     pure: its whole state is its arguments, the pairs so far as a tuple, the
     used points as the bits of one int, and the smallest first entry left.
+    With ``k`` given, a node ends as soon as too few free points are left
+    for the pairs still missing.
     """
     if n < 1:
         raise OutOfRange(f"ambient rank must be >= 1, got {n}")
@@ -211,6 +204,8 @@ def enumerate_involutions(n: int, k: int | None = None) -> Iterator[Involution]:
             yield _trusted(n, pairs)
             if k is not None:
                 return
+        elif n + 1 - min_first - (used >> min_first).bit_count() < 2 * (k - len(pairs)):
+            return  # each missing pair needs two free points at or above min_first
         for i in range(min_first, n + 1):
             if used >> i & 1:
                 continue

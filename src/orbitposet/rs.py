@@ -19,16 +19,19 @@ two positions holding m and m+1, so the pass stops at the third position
 that differs.  A candidate thus costs the steps up to its third difference
 (a few steps for most candidates), never a whole word, and only the
 returned P is built as a validated tableau.  A miss at n = 16, k = 2 scans
-all 104 candidates in about 3 ms (Python 3.11, shared 2-vCPU host).
+all 104 candidates in about 3 ms (Python 3.11, shared 2-vCPU host); past
+``limits.RS_WITNESS_MAX_CANDIDATES`` candidates the search is refused.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .errors import NotAPermutation, ShapeMismatch
+from .errors import NotAPermutation, ShapeMismatch, TooLarge
+from .limits import RS_WITNESS_MAX_CANDIDATES
 from .tableaux import TwoColumnTableau, _ballot_columns
 
 
@@ -151,14 +154,10 @@ def two_column_from_standard(tab: StandardTableau) -> TwoColumnTableau:
     return TwoColumnTableau(col1, col2)
 
 
-def swap_values(word: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """Exchange the values m and m+1 inside the word."""
-    return tuple(m + 1 if x == m else m if x == m + 1 else x for x in word)
-
-
 def _swap_index(word_a: Iterable[int], word_b: Iterable[int]) -> int | None:
-    """The m with ``word_a == swap_values(word_b, m)`` for two different
-    permutation words, or None; reads no further than their third difference."""
+    """The m such that swapping the values m and m+1 in ``word_b`` gives
+    ``word_a``, for two different permutation words, or None; reads no
+    further than their third difference."""
     differ: list[int] = []
     for a, b in zip(word_a, word_b):
         if a != b:
@@ -171,7 +170,7 @@ def _swap_index(word_a: Iterable[int], word_b: Iterable[int]) -> int | None:
 
 
 def find_rs_witness(
-    tab_t: TwoColumnTableau, tab_s: TwoColumnTableau
+    tab_t: TwoColumnTableau, tab_s: TwoColumnTableau, max_candidates: int | None = None
 ) -> tuple[TwoColumnTableau, int] | None:
     """Search for (P, m) with word(T, P) equal to word(S, P) after swapping
     the values m and m+1.
@@ -181,15 +180,26 @@ def find_rs_witness(
     (including the degenerate case T equal to S).  For T and S different,
     the two words of a candidate differ, and at most one m can match them,
     so each candidate is one lockstep pass (see the module docstring).
+
+    A miss scans every tableau of the shape, C(n, k) - C(n, k-1) of them, so
+    above ``limits.RS_WITNESS_MAX_CANDIDATES`` (or ``max_candidates``) the
+    search raises :class:`TooLarge` before it starts.
     """
     if tab_t.shape != tab_s.shape:
         raise ShapeMismatch(f"shapes differ: {tab_t.shape} vs {tab_s.shape}")
     if tab_t == tab_s:
         return None
-    n = tab_t.n
+    n, k = tab_t.n, tab_t.k
+    candidates = comb(n, k) - comb(n, k - 1)  # k >= 1: T and S differ
+    cap = RS_WITNESS_MAX_CANDIDATES if max_candidates is None else max_candidates
+    if candidates > cap:
+        raise TooLarge(
+            f"n={n}, k={k} has {candidates} candidate tableaux, above the guard {cap}; "
+            f"pass a larger max_candidates"
+        )
     t_rows = _rows_of_columns(tab_t.col1, tab_t.col2)
     s_rows = _rows_of_columns(tab_s.col1, tab_s.col2)
-    for col1, col2 in _ballot_columns(n, tab_t.k):
+    for col1, col2 in _ballot_columns(n, k):
         steps = _row_index(_rows_of_columns(col1, col2), n)
         m = _swap_index(_reverse_bumps(t_rows, steps), _reverse_bumps(s_rows, steps))
         if m is not None:

@@ -6,6 +6,7 @@ import os
 import select
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -192,6 +193,26 @@ def test_rs_witness(capsys):
     assert payload["witness"] is not None
     code, out, _ = run(capsys, "rs-witness", "1,2|3,4", "1,2|3,4")
     assert code == 0 and out.strip() == "none"
+
+
+def test_rs_witness_refuses_a_full_scan(capsys):
+    # 9 694 845 candidates at n = 30, k = 15: refused before the scan starts
+    odd_even = ",".join(map(str, range(1, 30, 2))) + "|" + ",".join(map(str, range(2, 31, 2)))
+    halves = ",".join(map(str, range(1, 16))) + "|" + ",".join(map(str, range(16, 31)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rs-witness", odd_even, halves)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == "" and one_error_line(err) and "9694845 candidate" in err, err
+
+
+def test_rs_witness_max_candidates_lifts_the_guard(capsys):
+    # n = 30, k = 5 has 115 101 candidates; this pair's witness is the first one
+    t_tab = "1,3,5,7,9,11," + ",".join(map(str, range(12, 31))) + "|2,4,6,8,10"
+    s_tab = "1,3,5,7,8,9," + ",".join(map(str, range(12, 31))) + "|2,4,6,10,11"
+    code, _, err = run(capsys, "rs-witness", t_tab, s_tab)
+    assert code == 1 and one_error_line(err), err
+    code, out, err = run(capsys, "rs-witness", t_tab, s_tab, "--max-candidates", "115101")
+    assert code == 0 and out.strip() == f"P={t_tab} m=7", err
 
 
 def test_enumerate(capsys):

@@ -159,14 +159,6 @@ def test_sigma_o_values():
         sigma_o(4, 3)
 
 
-def test_support_and_complement():
-    e = inv("(2,6)(3,5)(7,9)(8,10)", 11)
-    assert e.support_complement() == (1, 4, 11)
-    assert Involution.identity(3).support_complement() == (1, 2, 3)
-    assert sigma_o(4, 2).support_complement() == ()
-    assert e.support() == (2, 3, 5, 6, 7, 8, 9, 10)
-
-
 def test_project_window_filter():
     e = inv("(1,6)(3,4)(5,7)", 7)
     assert project(e, 2, 6) == inv("(2,3)", 5)
@@ -229,6 +221,28 @@ def test_enumeration_is_sorted_and_complete():
         assert len(set(els)) == len(els)
         by_k = sum(len(all_involutions(n, k)) for k in range(n // 2 + 1))
         assert by_k == len(els)
+
+
+def _reference_pairs(n, k):
+    """The k-pair recursion before it ended nodes short of free points."""
+    def rec(pairs, used, min_first):
+        if len(pairs) == k:
+            yield pairs
+            return
+        for i in range(min_first, n + 1):
+            if used >> i & 1:
+                continue
+            for j in range(i + 1, n + 1):
+                if not used >> j & 1:
+                    yield from rec(pairs + ((i, j),), used | 1 << i | 1 << j, i + 1)
+
+    return list(rec((), 0, 1))
+
+
+def test_enumeration_by_k_matches_the_unpruned_recursion():
+    for n in range(1, 11):
+        for k in range(n // 2 + 1):
+            assert [e.pairs for e in enumerate_involutions(n, k)] == _reference_pairs(n, k), (n, k)
 
 
 def test_enumerated_involutions_equal_validated_ones():

@@ -16,9 +16,15 @@ from orbitposet import (
     rs_pair,
     rs_word,
     sigma_T,
-    swap_values,
 )
+from orbitposet.errors import TooLarge
+from orbitposet.limits import RS_WITNESS_MAX_CANDIDATES
 from orbitposet.rs import standard_from_two_column, two_column_from_standard
+
+
+def swap_values(word, m):
+    """Exchange the values m and m+1 inside the word."""
+    return tuple(m + 1 if x == m else m if x == m + 1 else x for x in word)
 
 
 def test_rs_pair_decreasing_word():
@@ -184,3 +190,33 @@ def test_two_pair_equivalence_past_seven(n):
         has_witness = find_rs_witness(t_tab, s_tab) is not None
         codim_one = intersect(sigma_T(t_tab), sigma_T(s_tab)).codim == 1
         assert has_witness == codim_one
+
+
+def test_witness_guard_counts_the_ballot_tableaux():
+    # a miss at n = 16, k = 3 scans all 440 = C(16, 3) - C(16, 2) candidates
+    t_tab = TwoColumnTableau.parse("1,2,3,4,5,6,7,8,9,10,11,12,13|14,15,16")
+    s_tab = TwoColumnTableau.parse("1,3,5,7,8,9,10,11,12,13,14,15,16|2,4,6")
+    assert sum(1 for _ in enumerate_tableaux(16, 3)) == 440
+    expected = find_rs_witness(t_tab, s_tab)
+    with pytest.raises(TooLarge):
+        find_rs_witness(t_tab, s_tab, max_candidates=439)
+    assert find_rs_witness(t_tab, s_tab, max_candidates=440) == expected
+
+
+def test_witness_guard_refuses_a_full_scan_at_n30():
+    # the shape (15, 15) has C(30, 15) - C(30, 14) = 9 694 845 candidates
+    t_tab = TwoColumnTableau(tuple(range(1, 30, 2)), tuple(range(2, 31, 2)))
+    s_tab = TwoColumnTableau(tuple(range(1, 16)), tuple(range(16, 31)))
+    with pytest.raises(TooLarge, match="9694845 candidate"):
+        find_rs_witness(t_tab, s_tab)
+    assert find_rs_witness(t_tab, t_tab) is None  # equal tableaux need no search
+
+
+def test_witness_guard_is_lifted_per_call():
+    # n = 30, k = 5 has 115 101 candidates; this partner's witness is the first one
+    t_tab = TwoColumnTableau.parse("1,3,5,7,9,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30|2,4,6,8,10")
+    s_tab = TwoColumnTableau.parse("1,3,5,7,8,9,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30|2,4,6,10,11")
+    assert RS_WITNESS_MAX_CANDIDATES < 115_101
+    with pytest.raises(TooLarge):
+        find_rs_witness(t_tab, s_tab)
+    assert find_rs_witness(t_tab, s_tab, max_candidates=115_101) == (t_tab, 7)

@@ -1,5 +1,6 @@
 """Two-column tableaux, the maximal-orbit map, and exchange partner rules."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -188,6 +189,20 @@ def test_partner_rules_agree():
         for k in range(n // 2 + 1):
             for tab in enumerate_tableaux(n, k):
                 assert change_rule_partners(tab) == codim1_partners(tab)
+
+
+def test_partner_rules_agree_on_random_tableaux_to_n30():
+    rng = random.Random(16)
+    for n in range(8, 31):
+        for k in range(n // 2 + 1):
+            for _ in range(2):
+                while True:  # a random k-subset that meets the ballot condition
+                    col2 = tuple(sorted(rng.sample(range(1, n + 1), k)))
+                    if all(c >= 2 * r for r, c in enumerate(col2, 1)):
+                        break
+                col1 = tuple(x for x in range(1, n + 1) if x not in col2)
+                tab = TwoColumnTableau(col1, col2)
+                assert change_rule_partners(tab) == codim1_partners(tab), tab
 
 
 def test_partner_symmetry_and_odd_gap():
