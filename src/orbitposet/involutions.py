@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TypeVar
 
 from .errors import (
     BadRank,
@@ -28,6 +28,7 @@ from .errors import (
 from .limits import CACHE_SIZE
 
 Pair = tuple[int, int]
+T = TypeVar("T")
 
 _PAIR_RE = re.compile(r"\((\d+),(\d+)\)")
 
@@ -94,13 +95,27 @@ class Involution:
         return canonicalize(pairs, n)
 
 
-def _trusted(n: int, pairs: tuple[Pair, ...]) -> Involution:
-    """An :class:`Involution` from pairs known to be canonical, unchecked.
+def _unchecked(cls: type[T], **fields: object) -> T:
+    """An instance of the frozen dataclass ``cls`` from fields known to be
+    valid, built without running its checks.
 
-    For the library's own searches, whose outputs are canonical by
-    construction; user input goes through the validating constructor.  The
-    fields are set as the dataclass ``__init__`` sets them, so the instance
-    is laid out, and sized, like a checked one.
+    For the library's own results, which are valid by construction; user
+    input goes through the validating constructor.  The fields are set as
+    the dataclass ``__init__`` sets them, so the instance is laid out, and
+    sized, like a checked one.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _trusted(n: int, pairs: tuple[Pair, ...]) -> Involution:
+    """``_unchecked(Involution, n=n, pairs=pairs)`` for canonical pairs, unrolled.
+
+    The move rules and the searches build one of these per target, and the
+    keyword loop of :func:`_unchecked` makes a call about 0.45 us (half
+    again) slower on Python 3.11.
     """
     inv = object.__new__(Involution)
     object.__setattr__(inv, "n", n)

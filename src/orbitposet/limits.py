@@ -10,12 +10,15 @@ its guard stays at n=12.  Guards can be lifted per call
 variable.
 
 ``RS_WITNESS_MAX_CANDIDATES`` caps the tableaux ``find_rs_witness`` may scan.
-A miss scans every tableau of the shape, at 25-95 us each (the longer the two
-words agree, the more each costs), so a miss at the cap takes 1.3-4.7 s.
-Measured on a shared 2-vCPU host, Python 3.11: 16 796 candidates at
-n = 20, k = 10 took 0.4-0.9 s, 115 101 at n = 30, k = 5 took 4.0-10.8 s.  It
-is lifted per call (``max_candidates=...``), not through the environment,
-which holds an ``n``.
+A miss scans every tableau of the shape, at 6-35 us each (the more
+second-column entries, and the longer the two words agree, the more each
+costs), so a miss at the cap takes 0.3-1.8 s.  Measured on a shared 2-vCPU
+host, Python 3.11: first against last tableau took 6-9 us per candidate at
+k = 2 (n = 16-30), 12-14 at k = 5 and 22 at n = 20, k = 10 (16 796
+candidates, 0.37 s); codimension-one partners without a witness took 24-35
+us, so 115 101 candidates at n = 30, k = 5 took 3.1-3.4 s.  It is lifted per
+call (``max_candidates=...``), not through the environment, which holds an
+``n``.
 
 ``CACHE_SIZE`` bounds the ``rank_matrix`` and ``dimension`` caches above the
 oracle's working set (1 115 involutions to n = 8) and ``hasse`` at n = 10 (9 496).

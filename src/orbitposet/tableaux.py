@@ -14,10 +14,11 @@ Text format: columns separated by ``|``, entries comma-separated, e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Iterator
 
 from .errors import InvalidTableau, NotInColumn, OutOfRange, ParseError
-from .involutions import Involution, Pair, canonicalize, dimension
+from .involutions import Involution, Pair, _unchecked, canonicalize, dimension
 from .moves import ancestors, descendants
 
 
@@ -131,9 +132,14 @@ def tableau_of(inv: Involution) -> TwoColumnTableau | None:
     k, n = inv.length, inv.n
     if dimension(inv) != k * (n - k):
         return None
+    return _tableau_of_maximal(inv)
+
+
+def _tableau_of_maximal(inv: Involution) -> TwoColumnTableau:
+    """:func:`tableau_of` for an orbit known to be maximal, built unchecked:
+    the second column holds the second entries of its pairs."""
     col2 = tuple(sorted(b for _, b in inv.pairs))
-    col1 = tuple(sorted(set(range(1, n + 1)) - set(col2)))
-    return TwoColumnTableau(col1, col2)
+    return _unchecked(TwoColumnTableau, col1=_first_column(inv.n, col2), col2=col2)
 
 
 def row_of(tab: TwoColumnTableau, i: int) -> int:
@@ -222,32 +228,42 @@ def codim1_partners(tab: TwoColumnTableau) -> set[TwoColumnTableau]:
     out: set[TwoColumnTableau] = set()
     for lower in descendants(sigma):
         # lower has dimension k(n-k) - 1, so each ancestor is maximal and has a tableau
-        out.update(tableau_of(upper) for upper in ancestors(lower) if upper != sigma)
+        out.update(_tableau_of_maximal(upper) for upper in ancestors(lower) if upper != sigma)
     return out
 
 
-def _ballot_columns(n: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The columns ``(col1, col2)`` of every tableau with column lengths (n-k, k).
+def _second_columns(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The second column of every tableau with column lengths (n-k, k).
 
     A k-subset works as the second column iff its r-th smallest entry is at
-    least 2r (the ballot condition), so the second column is built entry by
-    entry: its r-th entry runs from ``max(previous + 1, 2r)`` to
-    ``n - (k - r)``, and every prefix extends to a tableau.  The order is
-    lexicographic in ``col2``; the columns are not validated as a tableau.
+    least 2r (the ballot condition), so the column is built entry by entry:
+    its r-th entry runs from ``max(previous + 1, 2r)`` to ``n - (k - r)``,
+    and every prefix extends to a tableau.  The order is lexicographic.
     """
     if not 0 <= k <= n // 2:
         return
 
-    def rec(col2: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    def rec(col2: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         r = len(col2) + 1
         if r > k:
-            taken = set(col2)
-            yield tuple(x for x in range(1, n + 1) if x not in taken), col2
+            yield col2
             return
         for c in range(max(col2[-1] + 1 if col2 else 0, 2 * r), n - k + r + 1):
             yield from rec(col2 + (c,))
 
     yield from rec(())
+
+
+def _first_column(n: int, col2: tuple[int, ...]) -> tuple[int, ...]:
+    """The entries of 1..n outside the second column, increasing."""
+    return tuple(filterfalse(set(col2).__contains__, range(1, n + 1)))
+
+
+def _ballot_columns(n: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The columns ``(col1, col2)`` of every tableau with column lengths
+    (n-k, k), in the order of :func:`_second_columns`, not validated."""
+    for col2 in _second_columns(n, k):
+        yield _first_column(n, col2), col2
 
 
 def enumerate_tableaux(n: int, k: int) -> Iterator[TwoColumnTableau]:

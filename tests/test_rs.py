@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -25,6 +26,29 @@ from orbitposet.rs import standard_from_two_column, two_column_from_standard
 def swap_values(word, m):
     """Exchange the values m and m+1 inside the word."""
     return tuple(m + 1 if x == m else m if x == m + 1 else x for x in word)
+
+
+def row_form_word(p_tab, q_tab):
+    """Inverse row insertion that climbs every row, one-box rows included:
+    the reference for the library's column-form reverse bump."""
+    rows = [list(r) for r in p_tab.rows]
+    row_of_step = {v: r for r, row in enumerate(q_tab.rows) for v in row}
+    word = []
+    for step in range(q_tab.n, 0, -1):
+        r = row_of_step[step]
+        x = rows[r].pop()
+        for rr in range(r - 1, -1, -1):
+            row = rows[rr]
+            idx = bisect_left(row, x) - 1
+            row[idx], x = x, row[idx]
+        word.append(x)
+    word.reverse()
+    return tuple(word)
+
+
+def random_two_column(rng, n, k):
+    """A uniform draw among the two-column tableaux with column lengths (n-k, k)."""
+    return rng.choice(list(enumerate_tableaux(n, k)))
 
 
 def test_rs_pair_decreasing_word():
@@ -69,6 +93,39 @@ def test_rs_roundtrip_exhaustive():
             assert rs_word(p_tab, q_tab) == word
 
 
+def test_rs_pair_builds_standard_tableaux():
+    # rs_pair builds its output unchecked; the validating constructor agrees
+    for n in range(1, 8):
+        for word in itertools.permutations(range(1, n + 1)):
+            for tab in rs_pair(word):
+                assert StandardTableau(tab.rows) == tab
+
+
+def test_rs_word_matches_the_row_form_reference():
+    rng = random.Random(5)
+    for n in range(1, 7):
+        for word in itertools.permutations(range(1, n + 1)):
+            assert row_form_word(*rs_pair(word)) == word
+    for _ in range(300):
+        word = list(range(1, rng.randint(8, 24) + 1))
+        rng.shuffle(word)
+        p_tab, q_tab = rs_pair(word)
+        assert rs_word(p_tab, q_tab) == row_form_word(p_tab, q_tab) == tuple(word)
+
+
+def test_rs_pair_roundtrip_two_column_long_tail():
+    # two-column shapes with a long column of one-box rows below k long rows
+    rng = random.Random(11)
+    for n in range(10, 21):
+        for k in range(1, 4):
+            for _ in range(4):
+                p_tab = standard_from_two_column(random_two_column(rng, n, k))
+                q_tab = standard_from_two_column(random_two_column(rng, n, k))
+                word = rs_word(p_tab, q_tab)
+                assert word == row_form_word(p_tab, q_tab)
+                assert rs_pair(word) == (p_tab, q_tab)
+
+
 def test_rs_pair_roundtrip_two_column():
     # both directions on every equal-shape pair of two-column tableaux
     for n in range(2, 7):
@@ -95,14 +152,15 @@ def test_swap_values():
 
 
 def _reference_witness(t_tab, s_tab):
-    """The scan ``find_rs_witness`` replaced: two whole words per candidate, every m."""
+    """The scan ``find_rs_witness`` replaced: two whole words per candidate,
+    read by the row-form reference, every m."""
     if t_tab == s_tab:
         return None
     n = t_tab.n
     t_std, s_std = standard_from_two_column(t_tab), standard_from_two_column(s_tab)
     for cand in enumerate_tableaux(n, t_tab.k):
         p_std = standard_from_two_column(cand)
-        wt, ws = rs_word(t_std, p_std), rs_word(s_std, p_std)
+        wt, ws = row_form_word(t_std, p_std), row_form_word(s_std, p_std)
         for m in range(1, n):
             if wt == swap_values(ws, m):
                 return cand, m

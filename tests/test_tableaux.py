@@ -14,12 +14,14 @@ from orbitposet import (
     ParseError,
     TwoColumnTableau,
     all_involutions,
+    ancestors,
     change,
     change_candidates_high,
     change_candidates_low,
     change_rule_partners,
     codim1_partners,
     cover,
+    descendants,
     dimension,
     enumerate_tableaux,
     from_rank_matrix,
@@ -189,6 +191,21 @@ def test_partner_rules_agree():
         for k in range(n // 2 + 1):
             for tab in enumerate_tableaux(n, k):
                 assert change_rule_partners(tab) == codim1_partners(tab)
+
+
+def test_partners_come_from_maximal_ancestors():
+    # codim1_partners reads each ancestor's columns without a dimension test
+    # or the validating constructor; both must be redundant
+    for n in range(1, 10):
+        for k in range(n // 2 + 1):
+            for tab in enumerate_tableaux(n, k):
+                sig = sigma_T(tab)
+                uppers = {up for low in descendants(sig) for up in ancestors(low)} - {sig}
+                assert all(tableau_of(up) is not None for up in uppers), tab
+                partners = codim1_partners(tab)
+                assert partners == {tableau_of(up) for up in uppers}, tab
+                for partner in partners:
+                    assert TwoColumnTableau(partner.col1, partner.col2) == partner
 
 
 def test_partner_rules_agree_on_random_tableaux_to_n30():
