@@ -5,9 +5,9 @@ n=8 already), and single-pass scans stay cheap up to n=10.  ``intersect``
 answers comparable pairs and irreducible meets without a search and
 searches the down-set of a reducible meet only; at n=14 with seven
 2-cycles such a search takes 1-3 s on random pairs of maximal orbits, so
-its guard stays at n=12.  Guards can be lifted per call
-(``max_n=...``) or globally through the ``ORBIT_POSET_MAX_N`` environment
-variable.
+its guard stays at n=12.  A guard is lifted only per call: ``max_n=...`` in
+the API, ``--max-n`` on the CLI.  An override replaces the default, so it can
+lower a guard too.
 
 ``RS_WITNESS_MAX_CANDIDATES`` caps the tableaux ``find_rs_witness`` may scan.
 A miss scans every tableau of the shape, at 6-35 us each (the more
@@ -17,18 +17,13 @@ host, Python 3.11: first against last tableau took 6-9 us per candidate at
 k = 2 (n = 16-30), 12-14 at k = 5 and 22 at n = 20, k = 10 (16 796
 candidates, 0.37 s); codimension-one partners without a witness took 24-35
 us, so 115 101 candidates at n = 30, k = 5 took 3.1-3.4 s.  It is lifted per
-call (``max_candidates=...``), not through the environment, which holds an
-``n``.
+call (``max_candidates=...``, ``--max-candidates``).
 
 ``CACHE_SIZE`` bounds the ``rank_matrix`` and ``dimension`` caches above the
 oracle's working set (1 115 involutions to n = 8) and ``hasse`` at n = 10 (9 496).
 """
 
-import os
-
-from .errors import ParseError, TooLarge
-
-ENV_MAX_N = "ORBIT_POSET_MAX_N"
+from .errors import TooLarge
 
 ALL_PAIRS_MAX_N = 8
 SINGLE_PASS_MAX_N = 10
@@ -38,23 +33,7 @@ RS_WITNESS_MAX_CANDIDATES = 50_000
 CACHE_SIZE = 16_384
 
 
-def effective_cap(default_cap: int, override: int | None = None) -> int:
-    """Resolve a guard: explicit override, then environment, then default."""
-    if override is not None:
-        return override
-    env = os.environ.get(ENV_MAX_N)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(f"{ENV_MAX_N}={env!r} is not an integer") from None
-    return default_cap
-
-
 def check_guard(n: int, default_cap: int, override: int | None = None) -> None:
-    cap = effective_cap(default_cap, override)
+    cap = default_cap if override is None else override
     if n > cap:
-        raise TooLarge(
-            f"n={n} exceeds the feasibility guard {cap}; "
-            f"pass a larger max_n or set {ENV_MAX_N}"
-        )
+        raise TooLarge(f"n={n} exceeds the feasibility guard {cap}; pass a larger max_n")

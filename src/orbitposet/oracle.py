@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import factorial
 
 from .errors import BadRank, UnknownSuite
@@ -130,22 +130,10 @@ class VerificationReport:
         return self.checks_run > 0 and not self.failures
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "n_max": self.n_max,
-            "k_max": self.k_max,
-            "checks_run": self.checks_run,
-            "failures": [
-                {
-                    "claim": f.claim,
-                    "witness": f.witness,
-                    "expected": f.expected,
-                    "got": f.got,
-                }
-                for f in self.failures
-            ],
-            "notes": list(self.notes),
-            "elapsed": self.elapsed,
+        fields = asdict(self)  # keeps the tuples; JSON wants lists
+        return fields | {
+            "failures": list(fields["failures"]),
+            "notes": list(fields["notes"]),
             "passed": self.passed,
         }
 

@@ -66,7 +66,11 @@ class ColumnPairArray:
         return self._row_failure() is None
 
     def to_tableau(self) -> "TwoColumnTableau":
-        return TwoColumnTableau(self.col1, self.col2)
+        """This array as a tableau; the columns are checked already, so only the rows are."""
+        failure = self._row_failure()
+        if failure is not None:
+            raise InvalidTableau(failure)
+        return _unchecked(TwoColumnTableau, col1=self.col1, col2=self.col2)
 
     def __str__(self) -> str:
         first = ",".join(str(x) for x in self.col1)

@@ -82,16 +82,15 @@ def test_unknown_suite():
         verify_suite("nonsense")
 
 
-def test_environment_overrides_guard(monkeypatch):
-    from orbitposet.limits import ENV_MAX_N, check_guard
+def test_environment_overrides_guard():
+    """Only the per-call override replaces a guard's default."""
+    from orbitposet.limits import check_guard
 
     with pytest.raises(TooLarge):
         check_guard(9, 8)
-    monkeypatch.setenv(ENV_MAX_N, "12")
-    check_guard(9, 8)  # no longer raises
     check_guard(9, 8, override=10)
     with pytest.raises(TooLarge):
-        check_guard(13, 8)
+        check_guard(11, 8, override=10)
 
 
 def test_suite_guard():
@@ -126,6 +125,26 @@ def test_report_json_shape():
     assert d["passed"] is True
     assert d["failures"] == []
     assert isinstance(d["elapsed"], float)
+
+
+def test_a_failing_check_is_reported(monkeypatch):
+    real = orbitposet.oracle.descendants
+    monkeypatch.setattr(orbitposet.oracle, "descendants", lambda e: set(sorted(real(e))[1:]))
+    report = verify_suite("descendants", n_max=4)
+    assert not report.passed and len(report.failures) == 18
+    failure = report.failures[0]
+    assert str(failure) == (
+        "descendants are the same-length covers | witness n=3 sigma=(1,2) | "
+        "expected {Involution(n=3, pairs=((1, 3),))} | got set()"
+    )
+    d = report.to_json_dict()
+    assert d["passed"] is False
+    assert d["failures"][0] == {
+        "claim": failure.claim,
+        "witness": failure.witness,
+        "expected": failure.expected,
+        "got": failure.got,
+    }
 
 
 def test_codim_suite_logs_reducible_example():

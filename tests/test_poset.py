@@ -159,15 +159,14 @@ def test_intersect_guard():
     assert result.components == (inv("(1,3)", 13),)
 
 
-def test_guard_rejects_a_non_integer_environment_value(monkeypatch):
-    from orbitposet import OrbitPosetError
-    from orbitposet.limits import ENV_MAX_N
-
-    monkeypatch.setenv(ENV_MAX_N, "abc")
-    with pytest.raises(OrbitPosetError, match="not an integer"):
-        hasse(4)
-    with pytest.raises(OrbitPosetError, match="not an integer"):
-        intersect(inv("(1,2)", 4), inv("(3,4)", 4))
+def test_guards_ignore_the_environment(monkeypatch):
+    # a guard is lifted only per call; a process-wide variable set to 9 would
+    # lower intersect's guard 12 and hasse's 10
+    a, b = inv("(1,2)", 10), inv("(2,3)", 10)
+    unset = intersect(a, b), hasse(10, 1)
+    monkeypatch.setenv("ORBIT_POSET_MAX_N", "9")
+    assert (intersect(a, b), hasse(10, 1)) == unset
+    assert unset[0].components == (inv("(1,3)", 10),) and unset[1]
 
 
 def test_codim_examples():
@@ -245,6 +244,14 @@ def test_hasse_dot_output():
     assert 'label="(1,3)\\ndim 1"' in dot
     assert "rank=same" in dot
     assert dot.rstrip().endswith("}")
+
+
+def test_hasse_dot_without_edges():
+    # k = 0 leaves only the identity, so the graph is the one node
+    assert hasse(3, 0) == []
+    dot = hasse_dot(3, 0)
+    assert '"id" [label="id\\ndim 0"];' in dot and "->" not in dot
+    assert "  { rank=same; \"id\" }" in dot
 
 
 def test_hasse_deterministic():

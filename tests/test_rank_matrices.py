@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import itertools
 import random
+import re
 import tracemalloc
 from operator import le
 from pathlib import Path
@@ -14,6 +15,7 @@ import orbitposet
 from orbitposet import (
     InvalidRankMatrix,
     Involution,
+    OutOfRange,
     RankMatrix,
     SizeMismatch,
     all_involutions,
@@ -192,6 +194,19 @@ def test_packed_form_round_trips_every_rank_matrix_to_n7():
             assert m.packed is not None
             back = RankMatrix._from_packed(n, m.packed)
             assert back == m and back.cells == m.cells and back.packed == m.packed
+
+
+@pytest.mark.parametrize(
+    "n, cells, error, message",
+    [
+        (0, (), OutOfRange, "ambient rank must be >= 1, got 0"),
+        (3, (0, 0), SizeMismatch, "expected 3 cells for n=3, got 2"),
+        (3, (0, -1, 0), OutOfRange, "rank matrix entries must be nonnegative"),
+    ],
+)
+def test_rank_matrix_rejections(n, cells, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        RankMatrix(n, cells)
 
 
 def test_packed_form_is_the_only_field():

@@ -86,6 +86,22 @@ def test_rs_word_shape_mismatch():
         rs_word(StandardTableau(((1, 2),)), StandardTableau(((1,), (2,))))
 
 
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ((), ShapeMismatch, "rows must be nonempty"),
+        (((1, 2), ()), ShapeMismatch, "rows must be nonempty"),
+        (((1,), (2, 3)), ShapeMismatch, "row lengths must weakly decrease"),
+        (((1, 2), (4,)), NotAPermutation, "entries must be exactly 1..n"),
+        (((2, 1), (3,)), ShapeMismatch, "rows must strictly increase"),
+        (((1, 3), (4,), (2,)), ShapeMismatch, "columns must strictly increase"),
+    ],
+)
+def test_standard_tableau_rejections(rows, error, message):
+    with pytest.raises(error, match=message):
+        StandardTableau(rows)
+
+
 def test_rs_roundtrip_exhaustive():
     for n in range(1, 7):
         for word in itertools.permutations(range(1, n + 1)):

@@ -143,6 +143,25 @@ def test_change_examples():
         change(EXAMPLE, 1, 2)
 
 
+def test_to_tableau_equals_the_validating_constructor():
+    for n in range(1, 9):
+        for k in range(n // 2 + 1):
+            for tab in enumerate_tableaux(n, k):
+                for i in tab.col1:
+                    for j in tab.col2:
+                        arr = change(tab, i, j)
+                        if not arr.is_tableau():
+                            with pytest.raises(InvalidTableau, match="rows must increase"):
+                                arr.to_tableau()
+                            continue
+                        built = arr.to_tableau()
+                        assert type(built) is TwoColumnTableau
+                        assert built == TwoColumnTableau(arr.col1, arr.col2)
+                        assert hash(built) == hash(TwoColumnTableau(arr.col1, arr.col2))
+    with pytest.raises(InvalidTableau, match="first column must be at least as long"):
+        ColumnPairArray((1,), (2, 3)).to_tableau()
+
+
 def test_change_candidates_low():
     # b-ordered pairs (3,4)(2,5)(6,7)(1,8): thresholds 2,4,6,8
     assert change_candidates_low(EXAMPLE) == [(3, 4), (2, 5), (6, 7)]
