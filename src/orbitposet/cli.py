@@ -63,7 +63,7 @@ def _parse_matrix(text: str) -> RankMatrix:
     """A dense JSON matrix; JSON that does not load is a ParseError."""
     try:
         rows = json.loads(text)
-    except ValueError as exc:  # bad JSON, or an integer past int's digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, a digit-limit integer, deep nesting
         raise ParseError(f"bad JSON input: {exc}") from None
     return RankMatrix.from_rows(rows)
 
@@ -128,11 +128,19 @@ def _reader(name: str, kind: str, args) -> tuple[Callable, Callable]:
     return partial(_parse_rank, args=args), lambda r, text: {name: text.strip()}
 
 
+def _stdin_rows():
+    """Each non-blank stdin line, stripped, as a row of one input, read as it comes."""
+    try:
+        yield from ([line.strip()] for line in sys.stdin if line.strip())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"stdin is not valid text: {exc}") from None
+
+
 def _run_command(command: _Command, args) -> int:
     readers = [_reader(name, kind, args) for name, kind in command.inputs]
     texts = [getattr(args, name) for name, _ in command.inputs]
     batch = texts == ["-"]  # only a command of one input reads stdin, a line at a time
-    for row in ([line.strip()] for line in sys.stdin if line.strip()) if batch else [texts]:
+    for row in _stdin_rows() if batch else [texts]:
         values, payload = [], {}
         for (parse, echo), text in zip(readers, row):
             values.append(parse(text))
@@ -291,10 +299,9 @@ def _cmd_hasse(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    n = _need_n(args)
-    members = enumerate_involutions(n, args.k)
+    members = enumerate_involutions(args.n, args.k)
     if args.json:
-        print(json.dumps({"n": n, "k": args.k, "involutions": [str(m) for m in members]}, sort_keys=True))
+        print(json.dumps({"n": args.n, "k": args.k, "involutions": [str(m) for m in members]}, sort_keys=True))
     else:
         for m in members:  # printed as generated, so memory stays flat and a closed pipe stops it
             print(m)

@@ -302,8 +302,9 @@ def _random_involution(rng: random.Random, n: int) -> Involution:
 
 
 def _step_matrices(n: int) -> list[RankMatrix]:
-    """Every strictly-upper matrix whose entries step by 0 or 1 when the
-    window grows by one row or column (the search space for validity)."""
+    """Every strictly-upper matrix with entries in ``0..n // 2`` that step by
+    0 or 1 when the window grows by one row or column (the search space for
+    validity: no window holds more than ``n // 2`` pairs)."""
     cells_order = [
         (i, j) for gap in range(1, n) for i in range(1, n - gap + 1) for j in (i + gap,)
     ]
@@ -324,7 +325,7 @@ def _step_matrices(n: int) -> list[RankMatrix]:
             return
         i, j = cells_order[idx]
         lo = max(get(i + 1, j), get(i, j - 1))
-        hi = min(get(i + 1, j), get(i, j - 1)) + 1
+        hi = min(get(i + 1, j) + 1, get(i, j - 1) + 1, n // 2)
         for v in range(lo, hi + 1):
             values[(i, j)] = v
             rec(idx + 1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import BadRank, NotComparable, RankMismatch, SizeMismatch
 from .involutions import Involution, _trusted, all_involutions, dimension, sigma_o
 from .limits import INTERSECT_MAX_N, SINGLE_PASS_MAX_N, check_guard
-from .moves import cover_moves
+from .moves import cover_moves, descendant_moves
 from .rank_matrices import (
     RankMatrix,
     _below_bound,
@@ -146,18 +146,14 @@ def depth(inv: Involution, k: int) -> int:
 def hasse(n: int, k: int | None = None, max_n: int | None = None) -> list[PosetEdge]:
     """All cover edges for rank ``n`` (restricted to cycle count ``k`` if given).
 
-    With ``k`` given only the same-length covers survive, which are exactly
-    the one-level degenerations.  Ordering is deterministic: upper elements
-    in enumeration order, moves in generation order.
+    With ``k`` given only the same-length covers are kept, and those are
+    exactly the one-level degenerations, read off :func:`descendant_moves`.
+    Ordering is deterministic: upper elements in enumeration order, moves in
+    generation order.
     """
     check_guard(n, SINGLE_PASS_MAX_N, max_n)
-    edges: list[PosetEdge] = []
-    for upper in all_involutions(n, k):
-        for move in cover_moves(upper):
-            if k is not None and move.target.length != k:
-                continue
-            edges.append(PosetEdge(upper, move.target, move.kind))
-    return edges
+    moves = cover_moves if k is None else descendant_moves
+    return [PosetEdge(upper, m.target, m.kind) for upper in all_involutions(n, k) for m in moves(upper)]
 
 
 def hasse_dot(n: int, k: int | None = None, max_n: int | None = None) -> str:

@@ -12,9 +12,10 @@ which ``is_valid``, ``from_rank_matrix`` and ``poset.intersect`` all read.
 A matrix is stored once, as its strict upper triangle packed into one
 integer: cell ``o`` (rows top to bottom, each holding columns ``i+1..n``)
 fills ``width`` bytes from byte ``width * o``, and the top bit of each cell is
-kept clear as a guard bit.  The width is the narrowest that holds both
-``n // 2 + 1`` and the largest cell, so equal matrices pack equally and every
-matrix of an involution has the same width.  Cells then add and compare all
+kept clear as a guard bit.  No window holds more than ``n // 2`` pairs, so
+that is the range of a cell, checked once by the constructor, and ``width``
+is the narrowest that holds ``n // 2 + 1`` (a search may overshoot by one):
+every matrix of rank ``n`` has the one layout.  Cells then add and compare all
 at once: ``a <= b`` in every cell exactly when ``((b | G) - a) & G == G``,
 with ``G`` the guard bits, because no cell's difference borrows past its own
 guard.  The packed rank matrix of the single pair ``(a, b)`` is the mask of
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from operator import le
 from typing import Iterator
 
 from .errors import InvalidRankMatrix, OutOfRange, SizeMismatch
@@ -47,27 +47,28 @@ def _offset(n: int, i: int, j: int) -> int:
     return (i - 1) * n - i * (i - 1) // 2 + (j - i - 1)
 
 
-def _width(n: int, top: int = 0) -> int:
-    """Bytes per cell with room below the guard bit for ``n // 2 + 1`` and ``top``.
+def _width(n: int) -> int:
+    """Bytes per cell with room below the guard bit for ``n // 2 + 1``.
 
     No window holds more than ``n // 2`` pairs; a search may overshoot by one.
     """
-    return (max(n // 2 + 1, top).bit_length() + 8) // 8
+    return ((n // 2 + 1).bit_length() + 8) // 8
 
 
 @lru_cache(maxsize=16)
-def _guard(n: int, width: int) -> int:
-    """The top bit of every cell at rank ``n`` with ``width`` bytes per cell."""
+def _guard(n: int) -> int:
+    """The top bit of every cell at rank ``n``."""
+    width = _width(n)
     top_bit = (0x80 << 8 * (width - 1)).to_bytes(width, "little")
     return int.from_bytes(top_bit * _tri_len(n), "little")
 
 
-def _pack(n: int, cells: tuple[int, ...]) -> tuple[int, int]:
-    """``(width, packed)`` for nonnegative ``cells`` at rank ``n``."""
-    width = _width(n, max(cells, default=0))
+def _pack(n: int, cells: tuple[int, ...]) -> int:
+    """``cells`` in ``0..n // 2`` packed at ``_width(n)``."""
+    width = _width(n)
     if width == 1:
-        return width, int.from_bytes(bytes(cells), "little")
-    return width, int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cells), "little")
+        return int.from_bytes(bytes(cells), "little")
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cells), "little")
 
 
 def _unpack(n: int, width: int, packed: int) -> tuple[int, ...]:
@@ -109,12 +110,13 @@ def _pair_masks(n: int) -> tuple[_MaskRow | None, ...]:
 
 @dataclass(frozen=True, init=False, repr=False, slots=True)
 class RankMatrix:
-    """Strictly upper-triangular nonnegative integer matrix.
+    """Strictly upper-triangular matrix with entries in ``0..n // 2``.
 
     ``RankMatrix(n, cells)`` takes the strict upper triangle row by row and
-    stores it as ``n``, the cell ``width`` in bytes and ``packed`` (see the
-    module docstring).  ``cells``, ``entry`` and ``to_rows`` are derived;
-    ``entry`` reads 0 on and below the diagonal and outside the index range.
+    stores it as ``n``, the cell ``width`` in bytes (``_width(n)``) and
+    ``packed`` (see the module docstring).  ``cells``, ``entry`` and
+    ``to_rows`` are derived; ``entry`` reads 0 on and below the diagonal and
+    outside the index range.
     """
 
     n: int
@@ -128,10 +130,11 @@ class RankMatrix:
             raise SizeMismatch(f"expected {_tri_len(n)} cells for n={n}, got {len(cells)}")
         if cells and min(cells) < 0:
             raise OutOfRange("rank matrix entries must be nonnegative")
-        width, packed = _pack(n, cells)
+        if cells and max(cells) > n // 2:
+            raise OutOfRange(f"rank matrix entries must be at most n // 2 = {n // 2}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "width", _width(n))
+        object.__setattr__(self, "packed", _pack(n, cells))
 
     @classmethod
     def _from_packed(cls, n: int, packed: int) -> "RankMatrix":
@@ -166,8 +169,9 @@ class RankMatrix:
         """Build from a dense square list of lists of integers.
 
         Raises SizeMismatch unless ``rows`` is a non-empty square list of
-        lists, and InvalidRankMatrix for a cell that is not an ``int`` (bools
-        included) or a nonzero cell on or below the diagonal.
+        lists, InvalidRankMatrix for a cell that is not an ``int`` (bools
+        included) or a nonzero cell on or below the diagonal, and OutOfRange
+        for a cell outside ``0..n // 2``.
         """
         if not isinstance(rows, list) or not rows or any(
             not isinstance(r, list) or len(r) != len(rows) for r in rows
@@ -243,35 +247,26 @@ def leq(a: RankMatrix, b: RankMatrix) -> bool:
     """Entrywise order on rank matrices: ``a`` below ``b``.
 
     Involutions are compared through their :func:`rank_matrix`.  One
-    guard-bit test on the packed forms.  Across widths, a wider ``a`` holds a
-    cell ``b`` cannot reach, and a narrower one is compared by cells.
+    guard-bit test on the packed forms.
     """
     if a.n != b.n:
         raise SizeMismatch(f"cannot compare ranks {a.n} and {b.n}")
-    if a.width != b.width:
-        return a.width < b.width and all(map(le, a.cells, b.cells))
-    guard = _guard(a.n, a.width)
+    guard = _guard(a.n)
     return ((b.packed | guard) - a.packed) & guard == guard
 
 
 def meet(a: RankMatrix, b: RankMatrix) -> RankMatrix:
     """Entrywise minimum of two rank matrices.
 
-    At the narrowest width ``_width(n)``, which every involution's matrix
-    has, the minimum is taken in every cell at once: the guard-bit test
-    marks the cells where ``a >= b``, each mark is spread over its cell, and
-    the marked cells are read from ``b``, the rest from ``a``.  Other widths
-    go through the cells, so the minimum is repacked at its own narrowest
-    width.
+    The minimum is taken in every cell at once: the guard-bit test marks the
+    cells where ``a >= b``, each mark is spread over its cell, and the marked
+    cells are read from ``b``, the rest from ``a``.
     """
     n = a.n
     if n != b.n:
         raise SizeMismatch(f"cannot meet ranks {n} and {b.n}")
-    width = _width(n)
-    if a.width != width or b.width != width:
-        return RankMatrix(n, tuple(map(min, a.cells, b.cells)))
-    guard = _guard(n, width)
-    bits = 8 * width
+    guard = _guard(n)
+    bits = 8 * a.width
     ge = ((a.packed | guard) - b.packed) & guard
     mask = (ge >> (bits - 1)) * ((1 << bits) - 1)
     return RankMatrix._from_packed(n, (b.packed & mask) | (a.packed & ~mask))
@@ -308,12 +303,11 @@ def _below_bound(bound: RankMatrix) -> Iterator[_Node]:
     free point)``, is the weakest pair there and at every later first entry,
     so if it fails the node is done.  The cuts skip only tests that would
     fail, and the work follows the size of the output.  Each involution is
-    yielded once, in no promised order.  ``bound`` must have width
-    ``_width(n)``, as every meet of involutions' matrices has.
+    yielded once, in no promised order.
     """
     n = bound.n
     masks = _pair_masks(n)
-    guard = _guard(n, _width(n))
+    guard = _guard(n)
     cap = bound.packed | guard
     points = (1 << (n + 1)) - 2  # bit x for each point x in 1..n
 
@@ -349,12 +343,11 @@ def _maximal_below(bound: RankMatrix) -> list[tuple[Pair, ...]]:
     the weakest free pair, and one fit test on it decides saturation.  The
     saturated nodes are then filtered as packed ints with the guard-bit
     test: a candidate below a kept node is dropped, otherwise it replaces the
-    kept nodes below it.  The order of the result is not promised, and
-    ``bound`` must have width ``_width(n)``, as for :func:`_below_bound`.
+    kept nodes below it.  The order of the result is not promised.
     """
     n = bound.n
     masks = _pair_masks(n)
-    guard = _guard(n, _width(n))
+    guard = _guard(n)
     cap = bound.packed | guard
     points = (1 << (n + 1)) - 2  # bit x for each point x in 1..n
     kept: list[tuple[tuple[Pair, ...], int]] = []

@@ -7,6 +7,7 @@ import select
 import subprocess
 import sys
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -294,12 +295,38 @@ def one_error_line(err):
         "[[0,1],[null,0]]",
         "[[0,1",
         pytest.param("[[0,%s],[0,0]]" % ("1" * 5000), id="past-int-digit-limit"),
+        "[[0,2],[0,0]]",
+        pytest.param("[" * 100_000, id="deeply-nested"),
     ],
 )
 def test_malformed_matrices_exit_one(capsys, command, matrix):
     code, out, err = run(capsys, command, matrix)
     assert code == 1 and out == ""
     assert one_error_line(err), err
+
+
+def test_an_out_of_range_cell_is_refused_before_packing(capsys):
+    # n = 200, all zeros but one 4 000-digit cell: refused without packing its
+    # 19 900 cells at that cell's width
+    rows = [[0] * 200 for _ in range(200)]
+    rows[-2][-1] = int("9" * 4000)
+    text = json.dumps(rows)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "valid", text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (1, "", "error: rank matrix entries must be at most n // 2 = 100\n")
+    assert peak < 5_000_000, peak
+
+
+def test_undecodable_stdin_is_one_error_line(capsys, monkeypatch):
+    # a strict decoder, as under PYTHONIOENCODING=utf-8
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff(1,2)\n"), encoding="utf-8"))
+    code, out, err = run(capsys, "dim", "-", "--n", "3")
+    assert code == 1 and out == ""
+    assert one_error_line(err) and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("text", ["(1,2)", "id"])
@@ -323,7 +350,7 @@ STDIN_INPUTS = {
     "dim": ["id", "(1,2)", "(1,4)(2,3)"],
     "q": ["id", "(1,3)", "(1,4)(2,3)"],
     "rank": ["id", "(1,3)", "(1,4)(2,3)"],
-    "valid": ["[[0,1],[0,0]]", "[[0,2],[0,0]]", "[[0,0,1],[0,0,1],[0,0,0]]"],
+    "valid": ["[[0,1],[0,0]]", "[[0,1,1],[0,0,1],[0,0,0]]", "[[0,0,1],[0,0,1],[0,0,0]]"],
     "recover": ["[[0,1],[0,0]]", "[[0,0],[0,0]]", "[[0,0,1],[0,0,1],[0,0,0]]"],
     "desc": ["id", "(1,2)", "(1,4)(2,3)"],
     "anc": ["id", "(1,3)", "(1,3)(2,4)"],
@@ -421,6 +448,7 @@ def test_parse_errors_exit_one(capsys):
         ["leq", f"(1,{huge})", "(1,2)", "--n", "4"],
         ["leq", f"[[0,{huge}],[0,0]]", "[[0,1],[0,0]]"],
         ["leq", "[[0,1],[0,0]", "[[0,1],[0,0]]"],
+        ["leq", "[" * 100_000, "[[0,1],[0,0]]"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and one_error_line(err), (argv[0], err)

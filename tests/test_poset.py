@@ -230,6 +230,22 @@ def test_hasse_matches_cover_relation():
             assert by_upper.get(upper, set()) == cover(upper)
 
 
+def test_hasse_at_one_length_is_the_same_length_covers():
+    # the descendants are exactly the covers that keep the cycle count
+    from orbitposet import cover_moves
+    from orbitposet.poset import PosetEdge
+
+    for n in range(1, 9):
+        for k in range(n // 2 + 1):
+            covers = [
+                PosetEdge(upper, m.target, m.kind)
+                for upper in all_involutions(n, k)
+                for m in cover_moves(upper)
+                if m.target.length == k
+            ]
+            assert hasse(n, k) == covers, (n, k)
+
+
 def test_hasse_guard():
     with pytest.raises(TooLarge):
         hasse(11)
