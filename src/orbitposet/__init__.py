@@ -103,7 +103,6 @@ from .tableaux import (
     change_rule_partners,
     codim1_partners,
     enumerate_tableaux,
-    row_of,
     sigma_T,
     sigma_pairs_by_b,
     tableau_of,

@@ -311,10 +311,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify(args) -> int:
     if args.all:
         reports = verify_all(args.n, args.k, args.max_n)
-    elif args.suite:
-        reports = [verify_suite(args.suite, args.n, args.k, args.max_n)]
     else:
-        raise ParseError("pass --suite NAME or --all")
+        reports = [verify_suite(args.suite, args.n, args.k, args.max_n)]
     passed = all(r.passed for r in reports)
     lines = []
     for r in reports:
@@ -373,8 +371,9 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int)
 
     p = add("verify", _cmd_verify, "run brute-force verification suites")
-    p.add_argument("--suite", choices=suite_names())
-    p.add_argument("--all", action="store_true")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--suite", choices=suite_names())
+    which.add_argument("--all", action="store_true")
     p.add_argument("--n", type=int, help="override the suite's default range")
     p.add_argument("--k", type=int, help="restrict to cycle counts up to k")
     p.add_argument("--max-n", type=int, dest="max_n", help="raise the feasibility guard")

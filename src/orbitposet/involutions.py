@@ -200,14 +200,15 @@ def sigma_o(n: int, k: int) -> Involution:
 
 
 def enumerate_involutions(n: int, k: int | None = None) -> Iterator[Involution]:
-    """Yield every involution of rank n (or only those with k pairs).
+    """Every involution of rank n (or only those with k pairs), lazily.
 
     Emission order is lexicographic on the flattened canonical pair list,
     so identity comes first and the order is reproducible.  The recursion is
     pure: its whole state is its arguments, the pairs so far as a tuple, the
     used points as the bits of one int, and the smallest first entry left.
     With ``k`` given, a node ends as soon as too few free points are left
-    for the pairs still missing.
+    for the pairs still missing.  Bad arguments raise at the call, before
+    anything is iterated.
     """
     if n < 1:
         raise OutOfRange(f"ambient rank must be >= 1, got {n}")
@@ -228,7 +229,7 @@ def enumerate_involutions(n: int, k: int | None = None) -> Iterator[Involution]:
                 if not used >> j & 1:
                     yield from rec(pairs + ((i, j),), used | 1 << i | 1 << j, i + 1)
 
-    yield from rec((), 0, 1)
+    return rec((), 0, 1)
 
 
 @lru_cache(maxsize=None)

@@ -18,6 +18,7 @@ import random
 import time
 from dataclasses import asdict, dataclass
 from math import factorial
+from typing import Iterator
 
 from .errors import BadRank, UnknownSuite
 from .involutions import (
@@ -74,8 +75,6 @@ from .tableaux import (
 def involution_number(n: int) -> int:
     """Number of involutions of rank n via a(n) = a(n-1) + (n-1)a(n-2)."""
     a, b = 1, 1  # a(0), a(1)
-    if n == 0:
-        return 1
     for m in range(2, n + 1):
         a, b = b, b + (m - 1) * a
     return b
@@ -139,6 +138,9 @@ class VerificationReport:
 
 
 class _Recorder:
+    """Collects one suite's checks.  ``checks`` (reported as ``checks_run``)
+    counts checks, never failures: a check that fails is still one check."""
+
     def __init__(self) -> None:
         self.checks = 0
         self.failures: list[Failure] = []
@@ -148,6 +150,10 @@ class _Recorder:
         self.checks += 1
         if not ok:
             self.failures.append(Failure(claim, witness, str(expected), str(got)))
+
+    def holds(self, ok: bool, claim: str, witness: str) -> None:
+        """One check that ``claim`` is true of ``witness``."""
+        self.check(ok, claim, witness, True, False)
 
     def equal(self, expected, got, claim: str, witness: str) -> None:
         self.check(expected == got, claim, witness, expected, got)
@@ -230,13 +236,7 @@ def _suite_dimension(rec: _Recorder, n_max: int, k_max: int | None) -> None:
             rec.equal(set(), descendants(base), "minimal orbit has no descendants", f"n={n} k={k}")
             for e in all_involutions(n):
                 if e.length >= k:
-                    rec.check(
-                        leq(mats[base], mats[e]),
-                        "minimal orbit below every longer element",
-                        f"n={n} k={k} sigma={e}",
-                        True,
-                        False,
-                    )
+                    rec.holds(leq(mats[base], mats[e]), "minimal orbit below every longer element", f"n={n} k={k} sigma={e}")
             maximal = {e for e in all_involutions(n, k) if dimension(e) == k * (n - k)}
             images = {sigma_T(t) for t in enumerate_tableaux(n, k)}
             rec.equal(images, maximal, "maximal orbits are tableau images", f"n={n} k={k}")
@@ -245,22 +245,12 @@ def _suite_dimension(rec: _Recorder, n_max: int, k_max: int | None) -> None:
             no_anc = {e for e in all_involutions(n, k) if not ancestors(e)}
             rec.equal(maximal, no_anc, "only maximal orbits lack ancestors", f"n={n} k={k}")
             for e in all_involutions(n, k):
-                rec.check(
-                    0 <= dimension(e) <= k * (n - k),
-                    "dimension bound",
-                    f"n={n} sigma={e}",
-                    f"0..{k * (n - k)}",
-                    dimension(e),
-                )
+                d = dimension(e)
+                rec.check(0 <= d <= k * (n - k), "dimension bound", f"n={n} sigma={e}", f"0..{k * (n - k)}", d)
     # the minimal-orbit dimension formula is cheap enough to push further
     for n in range(max(n_max, 0) + 1, 13):
         for k in _ks(n, k_max):
-            rec.equal(
-                k * (k + 1) // 2,
-                dimension(sigma_o(n, k)),
-                "minimal orbit dimension",
-                f"n={n} k={k}",
-            )
+            rec.equal(k * (k + 1) // 2, dimension(sigma_o(n, k)), "minimal orbit dimension", f"n={n} k={k}")
 
 
 def _suite_rank(rec: _Recorder, n_max: int, k_max: int | None) -> None:
@@ -269,19 +259,13 @@ def _suite_rank(rec: _Recorder, n_max: int, k_max: int | None) -> None:
         for e in _within(n, k_max):
             r = rank_matrix(e)
             rec.equal(e, from_rank_matrix(r), "recovery roundtrip", f"n={n} sigma={e}")
-            rec.check(is_valid(r), "images are valid", f"n={n} sigma={e}", True, False)
+            rec.holds(is_valid(r), "images are valid", f"n={n} sigma={e}")
             rec.equal(e.length, r.entry(1, n) if n > 1 else 0, "corner entry is the pair count", f"n={n} sigma={e}")
     for n in range(2, min(n_max, 6) + 1):
         for e in all_involutions(n):
             r = rank_matrix(e)
-            for i in range(1, n):
-                for j in range(i + 1, n + 1):
-                    rec.equal(
-                        project(e, i, j).length,
-                        r.entry(i, j),
-                        "window law",
-                        f"n={n} sigma={e} window=({i},{j})",
-                    )
+            for i, j in itertools.combinations(range(1, n + 1), 2):
+                rec.equal(project(e, i, j).length, r.entry(i, j), "window law", f"n={n} sigma={e} window=({i},{j})")
     for n in range(1, min(n_max, 6) + 1):
         images = {rank_matrix(e) for e in all_involutions(n)}
         valid = {r for r in _step_matrices(n) if is_valid(r)}
@@ -304,35 +288,24 @@ def _random_involution(rng: random.Random, n: int) -> Involution:
 def _step_matrices(n: int) -> list[RankMatrix]:
     """Every strictly-upper matrix with entries in ``0..n // 2`` that step by
     0 or 1 when the window grows by one row or column (the search space for
-    validity: no window holds more than ``n // 2`` pairs)."""
-    cells_order = [
-        (i, j) for gap in range(1, n) for i in range(1, n - gap + 1) for j in (i + gap,)
-    ]
-    results: list[RankMatrix] = []
-    values: dict[tuple[int, int], int] = {}
+    validity: no window holds more than ``n // 2`` pairs).
 
-    def get(i: int, j: int) -> int:
-        if i < 1 or j > n or i >= j:
-            return 0
-        return values[(i, j)]
+    Cells are filled by growing window, so both inner neighbours of a cell
+    are filled before it; a neighbour on the diagonal (slot ``None``) reads 0.
+    """
+    order = [(i, i + gap) for gap in range(1, n) for i in range(1, n - gap + 1)]
+    slot = {cell: s for s, cell in enumerate(order)}
+    inner = [(slot.get((i + 1, j)), slot.get((i, j - 1))) for i, j in order]
+    row_major = [slot[(i, j)] for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
-    def rec(idx: int) -> None:
-        if idx == len(cells_order):
-            cells = tuple(
-                values[(i, j)] for i in range(1, n + 1) for j in range(i + 1, n + 1)
-            )
-            results.append(RankMatrix(n, cells))
-            return
-        i, j = cells_order[idx]
-        lo = max(get(i + 1, j), get(i, j - 1))
-        hi = min(get(i + 1, j) + 1, get(i, j - 1) + 1, n // 2)
-        for v in range(lo, hi + 1):
-            values[(i, j)] = v
-            rec(idx + 1)
-        del values[(i, j)]
+    def fill(values: tuple[int, ...]) -> list[tuple[int, ...]]:
+        if len(values) == len(order):
+            return [values]
+        down, left = (0 if s is None else values[s] for s in inner[len(values)])
+        step = range(max(down, left), min(down + 1, left + 1, n // 2) + 1)
+        return [done for v in step for done in fill(values + (v,))]
 
-    rec(0)
-    return results
+    return [RankMatrix(n, tuple(values[s] for s in row_major)) for values in fill(())]
 
 
 def _suite_order(rec: _Recorder, n_max: int, k_max: int | None) -> None:
@@ -345,19 +318,19 @@ def _suite_order(rec: _Recorder, n_max: int, k_max: int | None) -> None:
         els = list(all_involutions(n))
         mats = {e: rank_matrix(e) for e in els}
         for e in els:
-            rec.check(leq(mats[e], mats[e]), "reflexive", f"n={n} sigma={e}", True, False)
+            rec.holds(leq(mats[e], mats[e]), "reflexive", f"n={n} sigma={e}")
         if n <= 6:
-            for a in els:
-                for b in els:
-                    if a != b and leq(mats[a], mats[b]) and leq(mats[b], mats[a]):
-                        rec.check(False, "antisymmetric", f"n={n} a={a} b={b}", True, False)
-            rec.checks += 1  # antisymmetry pass over all pairs counts once
+            two_way = [
+                (a, b) for a, b in itertools.permutations(els, 2)
+                if leq(mats[a], mats[b]) and leq(mats[b], mats[a])
+            ]
+            rec.equal([], two_way, "antisymmetric", f"n={n}")
         if n <= 5:
-            for a, b, c in itertools.product(els, repeat=3):
-                if leq(mats[a], mats[b]) and leq(mats[b], mats[c]):
-                    if not leq(mats[a], mats[c]):
-                        rec.check(False, "transitive", f"n={n} a={a} b={b} c={c}", True, False)
-            rec.checks += 1  # transitivity pass counts once
+            broken = [
+                (a, b, c) for a, b, c in itertools.product(els, repeat=3)
+                if leq(mats[a], mats[b]) and leq(mats[b], mats[c]) and not leq(mats[a], mats[c])
+            ]
+            rec.equal([], broken, "transitive", f"n={n}")
     for n in range(1, min(n_max, 5) + 1):
         short = [e for e in all_involutions(n) if e.length <= 2]
         mats = {e: rank_matrix(e) for e in short}
@@ -374,42 +347,30 @@ def _suite_order(rec: _Recorder, n_max: int, k_max: int | None) -> None:
 def _triangle_criterion(lower: Involution, upper: Involution) -> bool:
     """Literal reading: every corner triangle spanned by a subset of the
     lower element admits a subset of the upper element whose triangle fits
-    inside and captures at least as many points."""
+    inside and captures at least as many points.
 
-    def triangle(points: tuple) -> tuple[int, int] | None:
-        if not points:
-            return None
-        entries = [x for p in points for x in p]
-        return min(entries), max(entries)
+    Only nonempty subsets are read.  The empty lower subset needs 0 points,
+    which the empty upper subset always captures; a nonempty lower subset
+    needs at least its own pairs, which the empty upper subset never meets.
+    """
 
-    def count_inside(pairs: tuple, tri: tuple[int, int] | None) -> int:
-        if tri is None:
-            return 0
-        x, y = tri
+    def triangles(pairs: tuple) -> Iterator[tuple[int, int]]:
+        for r in range(1, len(pairs) + 1):
+            for subset in itertools.combinations(pairs, r):
+                entries = [x for p in subset for x in p]
+                yield min(entries), max(entries)
+
+    def inside(pairs: tuple, x: int, y: int) -> int:
         return sum(1 for a, b in pairs if x <= a and b <= y)
 
-    for r_low in range(len(lower.pairs) + 1):
-        for subset_low in itertools.combinations(lower.pairs, r_low):
-            tri_low = triangle(subset_low)
-            need = count_inside(lower.pairs, tri_low)
-            found = False
-            for r_up in range(len(upper.pairs) + 1):
-                for subset_up in itertools.combinations(upper.pairs, r_up):
-                    tri_up = triangle(subset_up)
-                    if tri_up is None:
-                        fits = True
-                    elif tri_low is None:
-                        fits = False
-                    else:
-                        fits = tri_low[0] <= tri_up[0] and tri_up[1] <= tri_low[1]
-                    if fits and count_inside(upper.pairs, tri_up) >= need:
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                return False
-    return True
+    def admitted(x: int, y: int) -> bool:
+        need = inside(lower.pairs, x, y)
+        return any(
+            x <= u and v <= y and inside(upper.pairs, u, v) >= need
+            for u, v in triangles(upper.pairs)
+        )
+
+    return all(admitted(x, y) for x, y in triangles(lower.pairs))
 
 
 def _suite_delete(rec: _Recorder, n_max: int, k_max: int | None) -> None:
@@ -421,12 +382,10 @@ def _suite_delete(rec: _Recorder, n_max: int, k_max: int | None) -> None:
                 i_s, j_s = e.pairs[s - 1]
                 shorter = rank_matrix(delete_pair(e, s))
                 ok = all(
-                    r.entry(i, j) - shorter.entry(i, j)
-                    == (1 if i <= i_s and j >= j_s else 0)
-                    for i in range(1, n + 1)
-                    for j in range(i + 1, n + 1)
+                    r.entry(i, j) - shorter.entry(i, j) == (1 if i <= i_s and j >= j_s else 0)
+                    for i, j in itertools.combinations(range(1, n + 1), 2)
                 )
-                rec.check(ok, "one-pair deletion rank delta", f"n={n} sigma={e} s={s}", True, False)
+                rec.holds(ok, "one-pair deletion rank delta", f"n={n} sigma={e} s={s}")
 
 
 # Each tag's inverse law: its claim, the inverse move, and which new pair of
@@ -465,7 +424,7 @@ def _suite_moves(rec: _Recorder, n_max: int, k_max: int | None) -> None:
                 for family, members in sets.items():
                     for target in members:
                         lo, hi = (rank_matrix(target), mat) if way == "down" else (mat, rank_matrix(target))
-                        rec.check(leq(lo, hi) and target != e, f"{way}-moves go strictly {way}", f"n={n} sigma={e} family={family} target={target}", True, False)
+                        rec.holds(leq(lo, hi) and target != e, f"{way}-moves go strictly {way}", f"n={n} sigma={e} family={family} target={target}")
                 for (fam_a, set_a), (fam_b, set_b) in itertools.combinations(sets.items(), 2):
                     rec.equal(set(), set_a & set_b, f"{way} families disjoint ({fam_a}/{fam_b})", f"n={n} sigma={e}")
 
@@ -519,13 +478,8 @@ def _suite_depth(rec: _Recorder, n_max: int, k_max: int | None) -> None:
                     continue
                 lo, hi = walk(x, target)
                 gap = dimension(x) - dimension(target)
-                rec.check(
-                    lo == hi == gap,
-                    "all chains have length equal to the dimension gap",
-                    f"n={n} upper={x} lower={target}",
-                    gap,
-                    (lo, hi),
-                )
+                claim = "all chains have length equal to the dimension gap"
+                rec.check(lo == hi == gap, claim, f"n={n} upper={x} lower={target}", gap, (lo, hi))
         for x in _within(n, k_max):
             for k in range(x.length + 1):
                 base = sigma_o(n, k)
@@ -569,36 +523,17 @@ def _suite_codim(rec: _Recorder, n_max: int, k_max: int | None) -> None:
             mats = {e: rank_matrix(e) for e in els}
             for a, b in itertools.combinations_with_replacement(els, 2):
                 result = intersect(a, b)
-                rec.equal(
-                    result.irreducible,
-                    len(result.components) == 1,
-                    "irreducible exactly when one component",
-                    f"n={n} a={a} b={b}",
-                )
+                one = len(result.components) == 1
+                rec.equal(result.irreducible, one, "irreducible exactly when one component", f"n={n} a={a} b={b}")
                 if result.irreducible:
-                    rec.equal(
-                        result.meet,
-                        rank_matrix(result.components[0]),
-                        "irreducible component realises the meet",
-                        f"n={n} a={a} b={b}",
-                    )
+                    realised = rank_matrix(result.components[0])
+                    rec.equal(result.meet, realised, "irreducible component realises the meet", f"n={n} a={a} b={b}")
                 for comp in result.components:
-                    rec.check(
-                        leq(rank_matrix(comp), mats[a]) and leq(rank_matrix(comp), mats[b]),
-                        "components lie below both inputs",
-                        f"n={n} a={a} b={b} comp={comp}",
-                        True,
-                        False,
-                    )
+                    below_both = leq(rank_matrix(comp), mats[a]) and leq(rank_matrix(comp), mats[b])
+                    rec.holds(below_both, "components lie below both inputs", f"n={n} a={a} b={b} comp={comp}")
                 for x, y in itertools.combinations(result.components, 2):
-                    rec.check(
-                        not leq(rank_matrix(x), rank_matrix(y))
-                        and not leq(rank_matrix(y), rank_matrix(x)),
-                        "components are incomparable",
-                        f"n={n} a={a} b={b}",
-                        True,
-                        False,
-                    )
+                    apart = not leq(rank_matrix(x), rank_matrix(y)) and not leq(rank_matrix(y), rank_matrix(x))
+                    rec.holds(apart, "components are incomparable", f"n={n} a={a} b={b}")
                 if a != b and not result.irreducible:
                     reducible.append((a, b, result))
         if reducible:
@@ -631,15 +566,15 @@ def _suite_ancestors(rec: _Recorder, n_max: int, k_max: int | None) -> None:
                 for lower in descendants(sig):
                     anc = ancestors(lower)
                     rec.equal(2, len(anc), "exactly two ancestors", f"n={n} T={tab} lower={lower}")
-                    rec.check(sig in anc, "original orbit is an ancestor", f"n={n} T={tab} lower={lower}", True, False)
+                    rec.holds(sig in anc, "original orbit is an ancestor", f"n={n} T={tab} lower={lower}")
                     others = [a for a in anc if a != sig]
                     if len(others) != 1:
                         continue
                     other = others[0]
                     rec.equal(top_dim, dimension(other), "second ancestor is maximal", f"n={n} T={tab} lower={lower}")
-                    rec.check(tableau_of(other) is not None, "second ancestor is a tableau image", f"n={n} lower={lower}", True, False)
+                    rec.holds(tableau_of(other) is not None, "second ancestor is a tableau image", f"n={n} lower={lower}")
                     joint = meet(rank_matrix(sig), rank_matrix(other))
-                    rec.check(is_valid(joint), "meet of the two ancestors is valid", f"n={n} T={tab} lower={lower}", True, False)
+                    rec.holds(is_valid(joint), "meet of the two ancestors is valid", f"n={n} T={tab} lower={lower}")
                     rec.equal(rank_matrix(lower), joint, "meet realises the degeneration", f"n={n} T={tab} lower={lower}")
                     rec.equal(
                         {lower},
@@ -648,7 +583,7 @@ def _suite_ancestors(rec: _Recorder, n_max: int, k_max: int | None) -> None:
                         f"n={n} T={tab} lower={lower}",
                     )
                     result = intersect(sig, other)
-                    rec.check(result.irreducible, "codim-1 intersection of maximal orbits is irreducible", f"n={n} T={tab} lower={lower}", True, False)
+                    rec.holds(result.irreducible, "codim-1 intersection of maximal orbits is irreducible", f"n={n} T={tab} lower={lower}")
                     rec.equal((lower,), result.components, "intersection component is the degeneration", f"n={n} T={tab} lower={lower}")
 
 
@@ -666,15 +601,13 @@ def _suite_tableaux(rec: _Recorder, n_max: int, k_max: int | None) -> None:
                 rec.equal(tab, tableau_of(sig), "tableau roundtrip", f"n={n} T={tab}")
                 by_b = sigma_pairs_by_b(tab)
                 for s, (i_s, b_s) in enumerate(by_b):
-                    rec.check((b_s - i_s) % 2 == 1, "pair gaps are odd", f"n={n} T={tab} pair=({i_s},{b_s})", True, False)
+                    rec.holds((b_s - i_s) % 2 == 1, "pair gaps are odd", f"n={n} T={tab} pair=({i_s},{b_s})")
                     if i_s != b_s - 1:
                         earlier = {x for q in range(s) for x in by_b[q]}
-                        rec.check(
+                        rec.holds(
                             all(p in earlier for p in range(i_s + 1, b_s)),
                             "interior of a long pair is used by earlier pairs",
                             f"n={n} T={tab} pair=({i_s},{b_s})",
-                            True,
-                            False,
                         )
             rec.equal(len(set(images.values())), len(tabs), "tableau map is injective", f"n={n} k={k}")
             maximal = {e for e in all_involutions(n, k) if dimension(e) == k * (n - k)}
@@ -691,12 +624,12 @@ def _suite_partners(rec: _Recorder, n_max: int, k_max: int | None) -> None:
                 via_change = change_rule_partners(tab)
                 rec.equal(via_thm[tab], via_change, "exchange rules match the ancestor route", f"n={n} T={tab}")
                 for i, b in change_candidates_low(tab):
-                    rec.check((b - i) % 2 == 1, "low exchange has odd gap", f"n={n} T={tab} swap=({i},{b})", True, False)
+                    rec.holds((b - i) % 2 == 1, "low exchange has odd gap", f"n={n} T={tab} swap=({i},{b})")
                 for a, bs in change_candidates_high(tab):
                     for b in bs:
-                        rec.check((a - b) % 2 == 1, "high exchange has odd gap", f"n={n} T={tab} swap=({a},{b})", True, False)
+                        rec.holds((a - b) % 2 == 1, "high exchange has odd gap", f"n={n} T={tab} swap=({a},{b})")
                 for other in via_thm[tab]:
-                    rec.check(tab in via_thm[other], "partnership is symmetric", f"n={n} T={tab} S={other}", True, False)
+                    rec.holds(tab in via_thm[other], "partnership is symmetric", f"n={n} T={tab} S={other}")
 
 
 def _suite_rs(rec: _Recorder, n_max: int, k_max: int | None) -> None:
@@ -713,8 +646,8 @@ def _suite_rs(rec: _Recorder, n_max: int, k_max: int | None) -> None:
                 if witness is not None:
                     result = intersect(sigma_T(t_tab), sigma_T(s_tab))
                     rec.equal(1, result.codim, "witness implies codimension one", f"n={n} T={t_tab} S={s_tab}")
-    for n in range(4, n_max + 1):
-        if k_max is not None and k_max < 2:
+    for n in range(1, n_max + 1):
+        if 2 not in _ks(n, k_max):
             continue
         tabs = list(enumerate_tableaux(n, 2))
         for t_tab, s_tab in itertools.combinations(tabs, 2):
@@ -773,29 +706,20 @@ def _suite_experiments(rec: _Recorder, n_max: int, k_max: int | None) -> None:
             f"n={n}: {irreducible_count}/{total} codim-1 maximal intersections irreducible"
         )
     # witness-free codimension-one pairs for three or more pairs of cycles
-    found = None
-    for n in range(6, n_max + 1):
-        for k in range(3, n // 2 + 1):
-            if k_max is not None and k > k_max:
-                continue
-            tabs = list(enumerate_tableaux(n, k))
-            sigmas = {tab: sigma_T(tab) for tab in tabs}
-            for t_tab, s_tab in itertools.combinations(tabs, 2):
-                if not (descendants(sigmas[t_tab]) & descendants(sigmas[s_tab])):
-                    continue
-                rec.checks += 1
-                if find_rs_witness(t_tab, s_tab) is None:
-                    found = (n, k, t_tab, s_tab)
-                    break
-            if found:
-                break
-        if found:
-            break
+    def shared_descendant_pairs() -> Iterator[tuple]:
+        for n in range(6, n_max + 1):
+            for k in _ks(n, k_max)[3:]:
+                tabs = list(enumerate_tableaux(n, k))
+                sigmas = {tab: sigma_T(tab) for tab in tabs}
+                for t_tab, s_tab in itertools.combinations(tabs, 2):
+                    if descendants(sigmas[t_tab]) & descendants(sigmas[s_tab]):
+                        rec.checks += 1
+                        yield n, k, t_tab, s_tab
+
+    found = next(((n, k, t, s) for n, k, t, s in shared_descendant_pairs() if find_rs_witness(t, s) is None), None)
     if found:
         n, k, t_tab, s_tab = found
-        rec.note(
-            f"smallest witness-free codim-1 pair with k>=3: n={n} k={k} T={t_tab} S={s_tab}"
-        )
+        rec.note(f"smallest witness-free codim-1 pair with k>=3: n={n} k={k} T={t_tab} S={s_tab}")
     else:
         rec.note(f"no witness-free codim-1 pair with k>=3 found for n<={n_max}")
 

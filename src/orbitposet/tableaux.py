@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import filterfalse
 from typing import Iterator
 
-from .errors import InvalidTableau, NotInColumn, OutOfRange, ParseError
+from .errors import InvalidTableau, NotInColumn, ParseError
 from .involutions import Involution, Pair, _unchecked, canonicalize, dimension
 from .moves import ancestors, descendants
 
@@ -144,15 +144,6 @@ def _tableau_of_maximal(inv: Involution) -> TwoColumnTableau:
     the second column holds the second entries of its pairs."""
     col2 = tuple(sorted(b for _, b in inv.pairs))
     return _unchecked(TwoColumnTableau, col1=_first_column(inv.n, col2), col2=col2)
-
-
-def row_of(tab: TwoColumnTableau, i: int) -> int:
-    """1-based row of entry ``i`` in its column."""
-    if not 1 <= i <= tab.n:
-        raise OutOfRange(f"entry {i} outside 1..{tab.n}")
-    if i in tab.col1:
-        return tab.col1.index(i) + 1
-    return tab.col2.index(i) + 1
 
 
 def change(tab: TwoColumnTableau, i: int, j: int) -> ColumnPairArray:

@@ -163,6 +163,8 @@ def test_tab2inv_inv2tab(capsys):
     assert code == 0 and out.strip() == "none"
     payload = run_json(capsys, "inv2tab", "(1,4)(2,5)", "--n", "5")
     assert payload["tableau"] is None
+    code, out, err = run(capsys, "tab2inv", "3,1,2|4")
+    assert code == 1 and out == "" and err == "error: column entries must strictly increase\n"
 
 
 def test_partners_change(capsys):
@@ -232,8 +234,16 @@ def test_verify(capsys):
     payload = json.loads(out)
     check_schema("verify", payload)
     assert payload["passed"] is True
-    code, _, err = run(capsys, "verify")
-    assert code == 1 and "error:" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])
+    assert exc.value.code == 1 and one_error_line(capsys.readouterr().err)
+
+
+def test_verify_takes_one_of_suite_or_all(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--all", "--suite", "rs"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == "" and one_error_line(captured.err)
 
 
 def test_verify_reports_failures(capsys, monkeypatch):

@@ -207,6 +207,16 @@ def test_enumeration_counts():
         assert len(all_involutions(n)) == expected[n]
 
 
+def test_enumeration_rejects_bad_arguments_at_the_call():
+    # nothing is iterated: the errors come from the call itself
+    with pytest.raises(OutOfRange):
+        enumerate_involutions(0)
+    with pytest.raises(BadRank):
+        enumerate_involutions(4, 3)
+    with pytest.raises(BadRank):
+        enumerate_involutions(4, -1)
+
+
 def test_enumeration_small_cases():
     assert [str(e) for e in enumerate_involutions(3)] == ["id", "(1,2)", "(1,3)", "(2,3)"]
     assert [str(e) for e in enumerate_involutions(1)] == ["id"]

@@ -159,6 +159,17 @@ def test_experiments_suite_reports_witness_free_pair():
     assert any("witness-free" in note for note in report.notes)
 
 
+def test_a_failing_scan_is_still_one_check(monkeypatch):
+    passing = verify_suite("order", n_max=4)
+    assert passing.passed and passing.checks_run == 146
+    monkeypatch.setattr(orbitposet.oracle, "leq", lambda a, b: True)
+    report = verify_suite("order", n_max=4)
+    assert report.checks_run == 146
+    antisymmetry = [f for f in report.failures if f.claim == "antisymmetric"]
+    assert [f.witness for f in antisymmetry] == ["n=2", "n=3", "n=4"]
+    assert all(f.expected == "[]" for f in antisymmetry)
+
+
 PINNED_CHECKS = {
     "moves": 7668,
     "descendants": 702,

@@ -207,6 +207,16 @@ def test_rank_matrix_rejections(n, cells, error, message):
         RankMatrix(n, cells)
 
 
+def test_entry_reads_zero_off_the_strict_upper_triangle():
+    for n in range(1, 6):
+        for e in all_involutions(n):
+            r = rank_matrix(e)
+            for i in range(-1, n + 3):
+                for j in range(-1, n + 3):
+                    if not 1 <= i < j <= n:
+                        assert r.entry(i, j) == 0, (e, i, j)
+
+
 def test_from_rows_rejects_a_cell_above_half_the_rank():
     assert RankMatrix.from_rows([[0, 1, 1], [0, 0, 1], [0, 0, 0]]).cells == (1, 1, 1)
     huge = 10**4000

@@ -10,7 +10,6 @@ from orbitposet import (
     InvalidTableau,
     Involution,
     NotInColumn,
-    OutOfRange,
     ParseError,
     TwoColumnTableau,
     all_involutions,
@@ -29,7 +28,6 @@ from orbitposet import (
     leq,
     meet,
     rank_matrix,
-    row_of,
     sigma_T,
     sigma_pairs_by_b,
     tableau_of,
@@ -65,6 +63,14 @@ def test_validation():
         TwoColumnTableau((1,), (2, 3))  # second column longer
     with pytest.raises(InvalidTableau):
         TwoColumnTableau((1, 2), (2, 4))  # not a partition of 1..n
+
+
+def test_array_rejections():
+    with pytest.raises(InvalidTableau, match="^empty tableau$"):
+        ColumnPairArray((), ())
+    for col1, col2 in (((3, 1, 2), (4,)), ((1, 2), (4, 3)), ((1, 1), (2,))):
+        with pytest.raises(InvalidTableau, match="^column entries must strictly increase$"):
+            ColumnPairArray(col1, col2)
 
 
 def test_an_array_needs_a_first_column():
@@ -116,14 +122,6 @@ def test_pair_gaps_are_odd():
         for k in range(n // 2 + 1):
             for tab in enumerate_tableaux(n, k):
                 assert all((b - a) % 2 == 1 for a, b in sigma_T(tab).pairs)
-
-
-def test_row_of():
-    assert row_of(EXAMPLE, 6) == 4
-    assert row_of(EXAMPLE, 4) == 1
-    assert row_of(EXAMPLE, 1) == 1
-    with pytest.raises(OutOfRange):
-        row_of(EXAMPLE, 9)
 
 
 def test_change_examples():
