@@ -92,7 +92,9 @@ def intersect(
        of ``_involution_of`` decides this and recovers it), everything below
        the meet lies below that involution, the only component;
     3. otherwise the intersection is reducible, and the components are the
-       maximal nodes of the search under the meet (``_maximal_below``).
+       maximal nodes of the search under the meet (``_maximal_below``).  Only
+       this step is guarded: past n = ``limits.INTERSECT_MAX_N`` (or
+       ``max_n``) it raises :class:`TooLarge` before any node is searched.
     """
     if a.n != b.n:
         raise SizeMismatch(f"cannot intersect ranks {a.n} and {b.n}")
@@ -100,7 +102,6 @@ def intersect(
         raise RankMismatch(
             f"cycle counts differ ({a.length} vs {b.length}); pass force to proceed"
         )
-    check_guard(a.n, INTERSECT_MAX_N, max_n)
     ra, rb = rank_matrix(a), rank_matrix(b)
     if leq(ra, rb):
         bound, irreducible, components = ra, True, [a]
@@ -113,6 +114,7 @@ def intersect(
         if irreducible:
             components = [component]
         else:
+            check_guard(a.n, INTERSECT_MAX_N, max_n)
             components = sorted(_trusted(a.n, pairs) for pairs in _maximal_below(bound))
     dims = tuple(dimension(c) for c in components)
     codim_value = min(dimension(a), dimension(b)) - max(dims)
@@ -159,9 +161,7 @@ def hasse(n: int, k: int | None = None, max_n: int | None = None) -> list[PosetE
 def hasse_dot(n: int, k: int | None = None, max_n: int | None = None) -> str:
     """DOT rendering of the cover relation, ranked by orbit dimension."""
     edges = hasse(n, k, max_n)
-    nodes = sorted({e.upper for e in edges} | {e.lower for e in edges})
-    if not nodes:
-        nodes = list(all_involutions(n, k))
+    nodes = all_involutions(n, k)
     by_dim: dict[int, list[Involution]] = {}
     for node in nodes:
         by_dim.setdefault(dimension(node), []).append(node)

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .errors import NotAPermutation, ShapeMismatch, TooLarge
+from .errors import NotAPermutation, ShapeMismatch
 from .involutions import _unchecked
-from .limits import RS_WITNESS_MAX_CANDIDATES
+from .limits import RS_WITNESS_MAX_CANDIDATES, check_guard
 from .tableaux import TwoColumnTableau, _first_column, _second_columns
 
 
@@ -221,12 +221,7 @@ def find_rs_witness(
         return None
     n, k = tab_t.n, tab_t.k
     candidates = comb(n, k) - comb(n, k - 1)  # k >= 1: T and S differ
-    cap = RS_WITNESS_MAX_CANDIDATES if max_candidates is None else max_candidates
-    if candidates > cap:
-        raise TooLarge(
-            f"n={n}, k={k} has {candidates} candidate tableaux, above the guard {cap}; "
-            f"pass a larger max_candidates"
-        )
+    check_guard(candidates, RS_WITNESS_MAX_CANDIDATES, max_candidates, "candidate tableaux", "max_candidates")
     t_rows, t_tail = _column_form(_rows_of_columns(tab_t.col1, tab_t.col2))
     s_rows, s_tail = _column_form(_rows_of_columns(tab_s.col1, tab_s.col2))
     for col2 in _second_columns(n, k):

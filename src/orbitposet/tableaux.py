@@ -36,8 +36,6 @@ class ColumnPairArray:
 
     def __post_init__(self) -> None:
         col1, col2, n = self.col1, self.col2, self.n
-        if n < 1:
-            raise InvalidTableau("empty tableau")
         if not col1:  # it would print as "|...", which parse refuses
             raise InvalidTableau("first column must be nonempty")
         for col in (col1, col2):

@@ -120,10 +120,10 @@ def test_intersect(capsys):
     assert code == 1 and "error:" in err
     payload = run_json(capsys, "intersect", "(1,2)(3,4)", "(1,2)", "--n", "4", "--force")
     assert payload["note"] == "outside theorem scope"
-    code, _, err = run(capsys, "intersect", "(1,2)", "(2,3)", "--n", "13")
+    code, _, err = run(capsys, "intersect", "(1,2)(3,4)", "(2,3)(4,5)", "--n", "13")
     assert code == 1 and "guard" in err
-    payload = run_json(capsys, "intersect", "(1,2)", "(2,3)", "--n", "13", "--max-n", "13")
-    assert [c["involution"] for c in payload["components"]] == ["(1,3)"]
+    payload = run_json(capsys, "intersect", "(1,2)(3,4)", "(2,3)(4,5)", "--n", "13", "--max-n", "13")
+    assert [c["involution"] for c in payload["components"]] == ["(1,3)(2,5)", "(1,4)(3,5)", "(1,5)(2,4)"]
 
 
 def test_codim_depth(capsys):

@@ -93,6 +93,18 @@ def test_environment_overrides_guard():
         check_guard(11, 8, override=10)
 
 
+def test_only_limits_raises_too_large():
+    raising = set()
+    for path in sorted(Path(orbitposet.oracle.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+                if name == "TooLarge":
+                    raising.add(path.stem)
+    assert raising == {"limits"}
+
+
 def test_suite_guard():
     with pytest.raises(TooLarge):
         verify_suite("descendants", n_max=9)

@@ -1,5 +1,6 @@
 """Closures, intersections, codimension, depth, and Hasse extraction."""
 
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -153,10 +154,38 @@ def test_intersect_maximal_images_n12():
 
 
 def test_intersect_guard():
+    # a reducible meet: the guard refuses its search past n = 12
+    a, b = inv("(1,2)(3,4)", 13), inv("(2,3)(4,5)", 13)
     with pytest.raises(TooLarge):
-        intersect(inv("(1,2)", 13), inv("(2,3)", 13))
-    result = intersect(inv("(1,2)", 13), inv("(2,3)", 13), max_n=13)
-    assert result.components == (inv("(1,3)", 13),)
+        intersect(a, b)
+    result = intersect(a, b, max_n=13)
+    assert result.components == tuple(inv(c, 13) for c in ("(1,3)(2,5)", "(1,4)(3,5)", "(1,5)(2,4)"))
+
+
+def test_intersect_guard_covers_only_the_search(monkeypatch):
+    def searched(bound):
+        raise AssertionError("the guard let the search start")
+
+    monkeypatch.setattr(poset, "_maximal_below", searched)
+    # a comparable pair and a valid meet answer past the guard's n
+    assert intersect(inv("(1,2)", 13), inv("(1,3)", 13)).components == (inv("(1,3)", 13),)
+    assert intersect(inv("(1,2)", 13), inv("(2,3)", 13)).components == (inv("(1,3)", 13),)
+    with pytest.raises(TooLarge):
+        intersect(inv("(1,2)(3,4)", 13), inv("(2,3)(4,5)", 13))
+
+
+@pytest.mark.parametrize("n", [14, 20, 40])
+def test_exchange_partners_intersect_irreducibly_past_the_guard(n):
+    # codimension-one intersections are irreducible, so no pair reaches the
+    # guarded search and none needs max_n
+    from orbitposet.tableaux import TwoColumnTableau
+
+    tab = TwoColumnTableau(tuple(range(1, n + 1, 2)), tuple(range(2, n + 1, 2)))
+    partners = change_rule_partners(tab)
+    assert partners
+    for partner in partners:
+        result = intersect(sigma_T(tab), sigma_T(partner))
+        assert result.irreducible and result.codim == 1, partner
 
 
 def test_guards_ignore_the_environment(monkeypatch):
@@ -268,6 +297,27 @@ def test_hasse_dot_without_edges():
     dot = hasse_dot(3, 0)
     assert '"id" [label="id\\ndim 0"];' in dot and "->" not in dot
     assert "  { rank=same; \"id\" }" in dot
+
+
+# sha256 prefixes of hasse_dot(n, k) as it read when the nodes were the
+# endpoints of the edges (all_involutions(n, k) when there were none)
+HASSE_DOT_DIGESTS = {
+    (1, None): "e93cc5e30621a4d1", (1, 0): "e93cc5e30621a4d1",
+    (2, None): "adaaad17a47f9b7a", (2, 0): "ac094d4dee36e97f", (2, 1): "4984559607bea832",
+    (3, None): "d58db2c227dc4e51", (3, 0): "c30eda9a0a638959", (3, 1): "9b2f05638808328a",
+    (4, None): "8e8e115ab30779b9", (4, 0): "e6468f1b097955e8", (4, 1): "d0f70849b2db046c",
+    (4, 2): "a1ebbbac9ae8f6ac",
+    (5, None): "5621ef67d0fa9ce8", (5, 0): "b8df212a4afaae38", (5, 1): "2d1d5a5fd9ef240a",
+    (5, 2): "1c6058dd38c13394",
+    (6, None): "c12d88462bf5221a", (6, 0): "50cff6e6fda035f8", (6, 1): "105732b6f533337e",
+    (6, 2): "82ab9291617adbb1", (6, 3): "880c2968ad05f9f0",
+}
+
+
+def test_hasse_dot_text_is_pinned():
+    assert set(HASSE_DOT_DIGESTS) == {(n, k) for n in range(1, 7) for k in (None, *range(n // 2 + 1))}
+    for (n, k), digest in HASSE_DOT_DIGESTS.items():
+        assert hashlib.sha256(hasse_dot(n, k).encode()).hexdigest()[:16] == digest, (n, k)
 
 
 def test_hasse_deterministic():

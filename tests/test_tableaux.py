@@ -66,7 +66,7 @@ def test_validation():
 
 
 def test_array_rejections():
-    with pytest.raises(InvalidTableau, match="^empty tableau$"):
+    with pytest.raises(InvalidTableau, match="^first column must be nonempty$"):
         ColumnPairArray((), ())
     for col1, col2 in (((3, 1, 2), (4,)), ((1, 2), (4, 3)), ((1, 1), (2,))):
         with pytest.raises(InvalidTableau, match="^column entries must strictly increase$"):
