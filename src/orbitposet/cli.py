@@ -1,12 +1,16 @@
 """Command-line surface: one subcommand per operation, stable parseable output.
 
 Text output is deterministic across runs; ``--json`` switches every command
-to a structured form (documented in ``schemas/cli_output.schema.json``).
+to a structured form (documented in ``schemas/cli_output.schema.json``), so
+``hasse`` refuses ``--dot`` with ``--json``.
 
 Every command that reads an input is a row of ``COMMANDS``, which lists its
 positional inputs as ``(argument, kind)`` pairs, and ``_run_command`` reads,
 parses and echoes them and prints the answer; ``hasse``, ``enumerate`` and
-``verify`` read none and stream their output.  ``leq`` and ``meet`` read an
+``verify`` read none and stream their output.  ``verify`` runs one suite
+or all of them, each over every cycle count at every rank up to ``--n``.  A
+feasibility guard is lifted per call by ``--max-n`` (``--max-candidates``
+for ``rs-witness``), the flag its error names.  ``leq`` and ``meet`` read an
 involution or a dense matrix as its rank matrix.  A command of one input
 accepts ``-`` to read one input per line from stdin and prints exactly one
 line per input as soon as it is read: a list answer on one line separated by
@@ -285,6 +289,8 @@ _ARGUMENT_HELP = {"i": "entry of the first column", "j": "entry of the second co
 # ---------------------------------------------------------------------------
 
 def _cmd_hasse(args) -> int:
+    if args.dot and args.json:
+        raise ParseError("--dot and --json are exclusive")
     if args.dot:
         print(hasse_dot(args.n, args.k, args.max_n))
         return 0
@@ -310,9 +316,9 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.all:
-        reports = verify_all(args.n, args.k, args.max_n)
+        reports = verify_all(args.n, max_n=args.max_n)
     else:
-        reports = [verify_suite(args.suite, args.n, args.k, args.max_n)]
+        reports = [verify_suite(args.suite, args.n, max_n=args.max_n)]
     passed = all(r.passed for r in reports)
     lines = []
     for r in reports:
@@ -375,7 +381,6 @@ def build_parser() -> _Parser:
     which.add_argument("--suite", choices=suite_names())
     which.add_argument("--all", action="store_true")
     p.add_argument("--n", type=int, help="override the suite's default range")
-    p.add_argument("--k", type=int, help="restrict to cycle counts up to k")
     p.add_argument("--max-n", type=int, dest="max_n", help="raise the feasibility guard")
 
     return parser

@@ -37,7 +37,9 @@ def check_guard(
     size: int, default_cap: int, override: int | None = None, unit: str = "points", option: str = "max_n"
 ) -> None:
     """Raise :class:`TooLarge`, the only code that does, when ``size`` (in ``unit``)
-    is above ``override``, or ``default_cap`` without one; ``option`` names the override."""
+    is above ``override``, or ``default_cap`` without one; ``option`` names the
+    override, and the message names its CLI flag too."""
     cap = default_cap if override is None else override
     if size > cap:
-        raise TooLarge(f"{size} {unit} exceed the feasibility guard {cap}; pass a larger {option}")
+        flag = "--" + option.replace("_", "-")
+        raise TooLarge(f"{size} {unit} exceed the feasibility guard {cap}; pass a larger {option} ({flag})")

@@ -8,7 +8,10 @@ lengths are walked, cover sets come from all-pairs order scans, tableau
 counts come from the hook-length product, involution counts from the
 classical recurrence.
 
-Run everything from the command line with ``orbitposet verify --all``.
+Each suite checks every cycle count k at every rank up to ``n_max`` (its
+own default unless given; ``--n`` on the CLI).  ``max_n`` (``--max-n``)
+lifts the suite's feasibility guard for one call.  Run everything from the
+command line with ``orbitposet verify --all``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import asdict, dataclass
 from math import factorial
 from typing import Iterator
 
-from .errors import BadRank, UnknownSuite
+from .errors import UnknownSuite
 from .involutions import (
     Involution,
     all_involutions,
@@ -117,7 +120,6 @@ class Failure:
 class VerificationReport:
     suite: str
     n_max: int
-    k_max: int | None
     checks_run: int
     failures: tuple[Failure, ...]
     notes: tuple[str, ...]
@@ -162,16 +164,6 @@ class _Recorder:
         self.notes.append(message)
 
 
-def _ks(n: int, k_max: int | None) -> range:
-    top = n // 2 if k_max is None else min(k_max, n // 2)
-    return range(top + 1)
-
-
-def _within(n: int, k_max: int | None) -> list[Involution]:
-    """The involutions of rank n with at most k_max pairs, in stable order."""
-    return [e for e in all_involutions(n) if k_max is None or e.length <= k_max]
-
-
 # ---------------------------------------------------------------------------
 # All-pairs ground truth
 # ---------------------------------------------------------------------------
@@ -209,7 +201,7 @@ def brute_covers(
 # Suites
 # ---------------------------------------------------------------------------
 
-def _suite_counts(rec: _Recorder, n_max: int, k_max: int | None) -> None:
+def _suite_counts(rec: _Recorder, n_max: int) -> None:
     """Enumeration is complete, canonical, duplicate-free, in stable order."""
     for n in range(1, n_max + 1):
         els = list(all_involutions(n))
@@ -218,19 +210,18 @@ def _suite_counts(rec: _Recorder, n_max: int, k_max: int | None) -> None:
         keys = [tuple(x for p in e.pairs for x in p) for e in els]
         rec.equal(sorted(keys), keys, "flattened lexicographic order", f"n={n}")
         total = 0
-        for k in _ks(n, k_max):
+        for k in range(n // 2 + 1):
             count = len(all_involutions(n, k))
             rec.equal(involution_number_k(n, k), count, "count by pair number", f"n={n} k={k}")
             total += count
-        if k_max is None:
-            rec.equal(len(els), total, "counts partition the total", f"n={n}")
+        rec.equal(len(els), total, "counts partition the total", f"n={n}")
 
 
-def _suite_dimension(rec: _Recorder, n_max: int, k_max: int | None) -> None:
+def _suite_dimension(rec: _Recorder, n_max: int) -> None:
     """Dimension bound, minimal and maximal orbit facts."""
     for n in range(1, n_max + 1):
         mats = {e: rank_matrix(e) for e in all_involutions(n)}
-        for k in _ks(n, k_max):
+        for k in range(n // 2 + 1):
             base = sigma_o(n, k)
             rec.equal(k * (k + 1) // 2, dimension(base), "minimal orbit dimension", f"n={n} k={k}")
             rec.equal(set(), descendants(base), "minimal orbit has no descendants", f"n={n} k={k}")
@@ -249,14 +240,14 @@ def _suite_dimension(rec: _Recorder, n_max: int, k_max: int | None) -> None:
                 rec.check(0 <= d <= k * (n - k), "dimension bound", f"n={n} sigma={e}", f"0..{k * (n - k)}", d)
     # the minimal-orbit dimension formula is cheap enough to push further
     for n in range(max(n_max, 0) + 1, 13):
-        for k in _ks(n, k_max):
+        for k in range(n // 2 + 1):
             rec.equal(k * (k + 1) // 2, dimension(sigma_o(n, k)), "minimal orbit dimension", f"n={n} k={k}")
 
 
-def _suite_rank(rec: _Recorder, n_max: int, k_max: int | None) -> None:
+def _suite_rank(rec: _Recorder, n_max: int) -> None:
     """Rank-matrix recovery, validity of images, window law, soundness."""
     for n in range(1, n_max + 1):
-        for e in _within(n, k_max):
+        for e in all_involutions(n):
             r = rank_matrix(e)
             rec.equal(e, from_rank_matrix(r), "recovery roundtrip", f"n={n} sigma={e}")
             rec.holds(is_valid(r), "images are valid", f"n={n} sigma={e}")
@@ -308,7 +299,7 @@ def _step_matrices(n: int) -> list[RankMatrix]:
     return [RankMatrix(n, tuple(values[s] for s in row_major)) for values in fill(())]
 
 
-def _suite_order(rec: _Recorder, n_max: int, k_max: int | None) -> None:
+def _suite_order(rec: _Recorder, n_max: int) -> None:
     """Partial-order axioms and the literal triangle criterion.
 
     The quadratic and cubic axiom scans stay capped (n <= 6 and n <= 5) so a
@@ -373,10 +364,10 @@ def _triangle_criterion(lower: Involution, upper: Involution) -> bool:
     return all(admitted(x, y) for x, y in triangles(lower.pairs))
 
 
-def _suite_delete(rec: _Recorder, n_max: int, k_max: int | None) -> None:
+def _suite_delete(rec: _Recorder, n_max: int) -> None:
     """Deleting one pair lowers exactly the window counts that contained it."""
     for n in range(1, n_max + 1):
-        for e in _within(n, k_max):
+        for e in all_involutions(n):
             r = rank_matrix(e)
             for s in range(1, e.length + 1):
                 i_s, j_s = e.pairs[s - 1]
@@ -407,10 +398,10 @@ _FAMILIES = {
 }
 
 
-def _suite_moves(rec: _Recorder, n_max: int, k_max: int | None) -> None:
+def _suite_moves(rec: _Recorder, n_max: int) -> None:
     """Inverse laws, direction law, and disjointness of the four families."""
     for n in range(1, n_max + 1):
-        for e in _within(n, k_max):
+        for e in all_involutions(n):
             mat = rank_matrix(e)
             for way, outcomes in (("down", descendant_moves(e)), ("up", ancestor_moves(e))):
                 sets: dict[str, set[Involution]] = {kind: set() for kind in _FAMILIES[way]}
@@ -429,10 +420,10 @@ def _suite_moves(rec: _Recorder, n_max: int, k_max: int | None) -> None:
                     rec.equal(set(), set_a & set_b, f"{way} families disjoint ({fam_a}/{fam_b})", f"n={n} sigma={e}")
 
 
-def _suite_descendants(rec: _Recorder, n_max: int, k_max: int | None) -> None:
+def _suite_descendants(rec: _Recorder, n_max: int) -> None:
     """Move-generated descendants equal both order-theoretic descriptions."""
     for n in range(1, n_max + 1):
-        for k in _ks(n, k_max):
+        for k in range(n // 2 + 1):
             below = _strictly_below(all_involutions(n, k))
             covers = _covers(below)
             for e, members in below.items():
@@ -442,17 +433,17 @@ def _suite_descendants(rec: _Recorder, n_max: int, k_max: int | None) -> None:
                 rec.equal(by_dim, moved, "descendants are the dimension-drop-one set", f"n={n} sigma={e}")
 
 
-def _suite_cover(rec: _Recorder, n_max: int, k_max: int | None) -> None:
+def _suite_cover(rec: _Recorder, n_max: int) -> None:
     """The graded cover equals the all-pairs cover; covers drop one level."""
     for n in range(1, n_max + 1):
         truth = _covers(_strictly_below(all_involutions(n)))
-        for e in _within(n, k_max):
+        for e in all_involutions(n):
             rec.equal(truth[e], cover(e), "cover matches all-pairs scan", f"n={n} sigma={e}")
             for lower in truth[e]:
                 rec.equal(1, dimension(e) - dimension(lower), "covers drop dimension by one", f"n={n} sigma={e} lower={lower}")
 
 
-def _suite_depth(rec: _Recorder, n_max: int, k_max: int | None) -> None:
+def _suite_depth(rec: _Recorder, n_max: int) -> None:
     """All cover chains between comparable elements have the same walked
     length, and it equals the dimension difference."""
     for n in range(1, n_max + 1):
@@ -480,7 +471,7 @@ def _suite_depth(rec: _Recorder, n_max: int, k_max: int | None) -> None:
                 gap = dimension(x) - dimension(target)
                 claim = "all chains have length equal to the dimension gap"
                 rec.check(lo == hi == gap, claim, f"n={n} upper={x} lower={target}", gap, (lo, hi))
-        for x in _within(n, k_max):
+        for x in all_involutions(n):
             for k in range(x.length + 1):
                 base = sigma_o(n, k)
                 if x == base:
@@ -489,18 +480,18 @@ def _suite_depth(rec: _Recorder, n_max: int, k_max: int | None) -> None:
                     rec.equal(chains[base][x][0], depth(x, k), "depth equals walked chain length", f"n={n} sigma={x} k={k}")
 
 
-def _suite_closure(rec: _Recorder, n_max: int, k_max: int | None) -> None:
+def _suite_closure(rec: _Recorder, n_max: int) -> None:
     """The rank-bounded search behind ``closure`` equals the enumeration filter."""
     for n in range(1, n_max + 1):
         below = _strictly_below(all_involutions(n))
-        for e in _within(n, k_max):
+        for e in all_involutions(n):
             rec.equal(below[e] | {e}, closure(e), "closure by rank-bounded search equals filter", f"n={n} sigma={e}")
 
 
-def _suite_reachability(rec: _Recorder, n_max: int, k_max: int | None) -> None:
+def _suite_reachability(rec: _Recorder, n_max: int) -> None:
     """Repeated one-level degenerations reach the whole same-length down-set."""
     for n in range(1, n_max + 1):
-        for k in _ks(n, k_max):
+        for k in range(n // 2 + 1):
             below = _strictly_below(all_involutions(n, k))
             for e in below:
                 reached = {e}
@@ -514,11 +505,11 @@ def _suite_reachability(rec: _Recorder, n_max: int, k_max: int | None) -> None:
                 rec.equal(below[e] | {e}, reached, "descendant steps reach the down-set", f"n={n} sigma={e}")
 
 
-def _suite_codim(rec: _Recorder, n_max: int, k_max: int | None) -> None:
+def _suite_codim(rec: _Recorder, n_max: int) -> None:
     """Intersection decomposition: irreducibility test, component sanity."""
     for n in range(1, n_max + 1):
         reducible = []
-        for k in _ks(n, k_max):
+        for k in range(n // 2 + 1):
             els = list(all_involutions(n, k))
             mats = {e: rank_matrix(e) for e in els}
             for a, b in itertools.combinations_with_replacement(els, 2):
@@ -545,11 +536,11 @@ def _suite_codim(rec: _Recorder, n_max: int, k_max: int | None) -> None:
             )
 
 
-def _suite_ancestors(rec: _Recorder, n_max: int, k_max: int | None) -> None:
+def _suite_ancestors(rec: _Recorder, n_max: int) -> None:
     """Every one-level degeneration of a maximal orbit has exactly two
     maximal ancestors, and their meet realises it."""
     for n in range(1, n_max + 1):
-        for k in _ks(n, k_max):
+        for k in range(n // 2 + 1):
             top_dim = k * (n - k)
             sigmas = [sigma_T(tab) for tab in enumerate_tableaux(n, k)]
             for a, b in itertools.combinations(sigmas, 2):
@@ -587,10 +578,10 @@ def _suite_ancestors(rec: _Recorder, n_max: int, k_max: int | None) -> None:
                     rec.equal((lower,), result.components, "intersection component is the degeneration", f"n={n} T={tab} lower={lower}")
 
 
-def _suite_tableaux(rec: _Recorder, n_max: int, k_max: int | None) -> None:
+def _suite_tableaux(rec: _Recorder, n_max: int) -> None:
     """Tableau correspondence: bijection, counts, gap parity, interval law."""
     for n in range(1, n_max + 1):
-        for k in _ks(n, k_max):
+        for k in range(n // 2 + 1):
             tabs = list(enumerate_tableaux(n, k))
             rec.equal(hook_length_count(n, k), len(tabs), "tableau count matches hook lengths", f"n={n} k={k}")
             images = {}
@@ -614,10 +605,10 @@ def _suite_tableaux(rec: _Recorder, n_max: int, k_max: int | None) -> None:
             rec.equal(maximal, set(images.values()), "images exhaust the maximal orbits", f"n={n} k={k}")
 
 
-def _suite_partners(rec: _Recorder, n_max: int, k_max: int | None) -> None:
+def _suite_partners(rec: _Recorder, n_max: int) -> None:
     """The two exchange rules produce exactly the codimension-one partners."""
     for n in range(1, n_max + 1):
-        for k in _ks(n, k_max):
+        for k in range(n // 2 + 1):
             tabs = list(enumerate_tableaux(n, k))
             via_thm = {tab: codim1_partners(tab) for tab in tabs}
             for tab in tabs:
@@ -632,23 +623,21 @@ def _suite_partners(rec: _Recorder, n_max: int, k_max: int | None) -> None:
                     rec.holds(tab in via_thm[other], "partnership is symmetric", f"n={n} T={tab} S={other}")
 
 
-def _suite_rs(rec: _Recorder, n_max: int, k_max: int | None) -> None:
+def _suite_rs(rec: _Recorder, n_max: int) -> None:
     """Insertion bijectivity and the witness criterion."""
     for n in range(1, min(n_max, 7) + 1):
         for word in itertools.permutations(range(1, n + 1)):
             p_tab, q_tab = rs_pair(word)
             rec.equal(word, rs_word(p_tab, q_tab), "insertion roundtrip", f"word={list(word)}")
     for n in range(2, min(n_max, 6) + 1):
-        for k in _ks(n, k_max):
+        for k in range(n // 2 + 1):
             tabs = list(enumerate_tableaux(n, k))
             for t_tab, s_tab in itertools.combinations(tabs, 2):
                 witness = find_rs_witness(t_tab, s_tab)
                 if witness is not None:
                     result = intersect(sigma_T(t_tab), sigma_T(s_tab))
                     rec.equal(1, result.codim, "witness implies codimension one", f"n={n} T={t_tab} S={s_tab}")
-    for n in range(1, n_max + 1):
-        if 2 not in _ks(n, k_max):
-            continue
+    for n in range(4, n_max + 1):
         tabs = list(enumerate_tableaux(n, 2))
         for t_tab, s_tab in itertools.combinations(tabs, 2):
             witness = find_rs_witness(t_tab, s_tab)
@@ -661,13 +650,13 @@ def _suite_rs(rec: _Recorder, n_max: int, k_max: int | None) -> None:
             )
 
 
-def _suite_experiments(rec: _Recorder, n_max: int, k_max: int | None) -> None:
+def _suite_experiments(rec: _Recorder, n_max: int) -> None:
     """Reported-only explorations; nothing here is asserted as a failure."""
     # beyond maximal orbits: does codimension one still mean a shared descendant?
     for n in range(1, min(n_max, 6) + 1):
         agreements = disagreements = 0
         examples = []
-        for k in _ks(n, k_max):
+        for k in range(n // 2 + 1):
             els = list(all_involutions(n, k))
             for a, b in itertools.combinations(els, 2):
                 if dimension(a) != dimension(b):
@@ -691,7 +680,7 @@ def _suite_experiments(rec: _Recorder, n_max: int, k_max: int | None) -> None:
     # codimension-one intersections of maximal orbits: irreducibility evidence
     for n in range(2, n_max + 1):
         total = irreducible_count = 0
-        for k in _ks(n, k_max):
+        for k in range(n // 2 + 1):
             tabs = list(enumerate_tableaux(n, k))
             sigmas = {tab: sigma_T(tab) for tab in tabs}
             for t_tab, s_tab in itertools.combinations(tabs, 2):
@@ -708,7 +697,7 @@ def _suite_experiments(rec: _Recorder, n_max: int, k_max: int | None) -> None:
     # witness-free codimension-one pairs for three or more pairs of cycles
     def shared_descendant_pairs() -> Iterator[tuple]:
         for n in range(6, n_max + 1):
-            for k in _ks(n, k_max)[3:]:
+            for k in range(3, n // 2 + 1):
                 tabs = list(enumerate_tableaux(n, k))
                 sigmas = {tab: sigma_T(tab) for tab in tabs}
                 for t_tab, s_tab in itertools.combinations(tabs, 2):
@@ -754,29 +743,23 @@ def suite_names() -> list[str]:
 
 
 def verify_suite(
-    name: str,
-    n_max: int | None = None,
-    k_max: int | None = None,
-    max_n: int | None = None,
+    name: str, n_max: int | None = None, *, max_n: int | None = None
 ) -> VerificationReport:
     """Run one named suite and report; failures list stays empty on success."""
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    if k_max is not None and k_max < 0:
-        raise BadRank(f"k={k_max} must be >= 0")
     fn, default_n, cap = SUITES[name]
     n = default_n if n_max is None else n_max
     check_guard(n, cap, max_n)
     rec = _Recorder()
     start = time.perf_counter()
-    fn(rec, n, k_max)
+    fn(rec, n)
     elapsed = time.perf_counter() - start
     if rec.checks == 0:
         rec.note("no checks ran in this range, so the suite did not pass")
     return VerificationReport(
         suite=name,
         n_max=n,
-        k_max=k_max,
         checks_run=rec.checks,
         failures=tuple(rec.failures),
         notes=tuple(rec.notes),
@@ -784,10 +767,6 @@ def verify_suite(
     )
 
 
-def verify_all(
-    n_max: int | None = None,
-    k_max: int | None = None,
-    max_n: int | None = None,
-) -> list[VerificationReport]:
+def verify_all(n_max: int | None = None, *, max_n: int | None = None) -> list[VerificationReport]:
     """Run every suite (at its own default range unless n_max overrides)."""
-    return [verify_suite(name, n_max, k_max, max_n) for name in SUITES]
+    return [verify_suite(name, n_max, max_n=max_n) for name in SUITES]

@@ -1,6 +1,7 @@
 """The verification layer itself: counting oracles, brute covers, suites."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from orbitposet import (
     Involution,
     TooLarge,
     UnknownSuite,
+    VerificationReport,
     all_involutions,
     brute_covers,
     hook_length_count,
@@ -82,8 +84,8 @@ def test_unknown_suite():
         verify_suite("nonsense")
 
 
-def test_environment_overrides_guard():
-    """Only the per-call override replaces a guard's default."""
+def test_per_call_override_replaces_guard_default():
+    """The override replaces the default, upward or downward."""
     from orbitposet.limits import check_guard
 
     with pytest.raises(TooLarge):
@@ -105,12 +107,37 @@ def test_only_limits_raises_too_large():
     assert raising == {"limits"}
 
 
+def test_no_module_reads_the_environment():
+    # a guard is lifted only per call, never by a process-wide variable
+    names = {"environ", "environb", "getenv"}
+    reading = set()
+    for path in sorted(Path(orbitposet.oracle.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                reading.add(path.stem)
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                if any(alias.name in names for alias in node.names):
+                    reading.add(path.stem)
+    assert reading == set()
+
+
 def test_suite_guard():
     with pytest.raises(TooLarge):
         verify_suite("descendants", n_max=9)
     # but the guard can be lifted explicitly
     report = verify_suite("counts", n_max=4, max_n=12)
     assert report.passed
+
+
+def test_guard_override_is_keyword_only():
+    # a third positional argument is not silently read as max_n
+    with pytest.raises(TypeError):
+        verify_suite("counts", 4, 12)
+
+
+def test_report_fields():
+    names = [f.name for f in fields(VerificationReport)]
+    assert names == ["suite", "n_max", "checks_run", "failures", "notes", "elapsed"]
 
 
 def test_every_suite_passes_quickly_at_small_rank():

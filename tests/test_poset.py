@@ -188,16 +188,6 @@ def test_exchange_partners_intersect_irreducibly_past_the_guard(n):
         assert result.irreducible and result.codim == 1, partner
 
 
-def test_guards_ignore_the_environment(monkeypatch):
-    # a guard is lifted only per call; a process-wide variable set to 9 would
-    # lower intersect's guard 12 and hasse's 10
-    a, b = inv("(1,2)", 10), inv("(2,3)", 10)
-    unset = intersect(a, b), hasse(10, 1)
-    monkeypatch.setenv("ORBIT_POSET_MAX_N", "9")
-    assert (intersect(a, b), hasse(10, 1)) == unset
-    assert unset[0].components == (inv("(1,3)", 10),) and unset[1]
-
-
 def test_codim_examples():
     assert codim(inv("(1,2)", 2), Involution.identity(2)) == 1
     assert codim(inv("(1,2)", 3), inv("(1,3)", 3)) == 1
