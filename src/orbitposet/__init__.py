@@ -23,7 +23,6 @@ from .errors import (
     OrbitPosetError,
     OutOfRange,
     ParseError,
-    RankMismatch,
     ShapeMismatch,
     SizeMismatch,
     TooLarge,

@@ -10,14 +10,17 @@ parses and echoes them and prints the answer; ``hasse``, ``enumerate`` and
 ``verify`` read none and stream their output.  ``verify`` runs one suite
 or all of them, each over every cycle count at every rank up to ``--n``.  A
 feasibility guard is lifted per call by ``--max-n`` (``--max-candidates``
-for ``rs-witness``), the flag its error names.  ``leq`` and ``meet`` read an
-involution or a dense matrix as its rank matrix.  A command of one input
-accepts ``-`` to read one input per line from stdin and prints exactly one
-line per input as soon as it is read: a list answer on one line separated by
-spaces, ``none`` for any empty answer, a rank matrix as one JSON array (the
-form ``valid -`` and ``recover -`` read), and with ``--json`` one JSON object.
+for ``rs-witness``), the flag its error names.  ``intersect`` answers any two
+involutions of one rank, and adds the note ``outside theorem scope`` when
+their cycle counts differ.  ``leq`` and ``meet`` read an involution or a
+dense matrix as its rank matrix.  A command of one input accepts ``-`` to
+read one input per line from stdin and prints exactly one line per input as
+soon as it is read: a list answer on one line separated by spaces, ``none``
+for any empty answer, a rank matrix as one JSON array (the form ``valid -``
+and ``recover -`` read), and with ``--json`` one JSON object.
 
-Exit codes: 0 success, 1 parse/validation error or a closed output pipe,
+Exit codes: 0 success, 1 parse/validation error, an input too large for the
+process (out of memory or past the recursion limit) or a closed output pipe,
 2 verification failure.
 """
 
@@ -184,7 +187,7 @@ def _matrix(r: RankMatrix):
 
 
 def _intersect(a: Involution, b: Involution, args):
-    result = intersect(a, b, force=args.force, max_n=args.max_n)
+    result = intersect(a, b, max_n=args.max_n)
     lines = [
         "meet:",
         result.meet.format_grid(),
@@ -195,7 +198,7 @@ def _intersect(a: Involution, b: Involution, args):
         f"equidimensional: {json.dumps(result.equidimensional)}",
     ]
     fields = result.to_json_dict()
-    if args.force and a.length != b.length:
+    if a.length != b.length:  # the paper's decomposition is stated for equal counts
         fields["note"] = "outside theorem scope"
         lines.append("note: outside theorem scope")
     return fields, lines
@@ -360,9 +363,8 @@ def build_parser() -> _Parser:
         if any(kind in ("involution", "involution-or-matrix") for _, kind in command.inputs):
             p.add_argument("--n", type=int)
     sub.choices["depth"].add_argument("--k", type=int, default=0)
-    p = sub.choices["intersect"]
-    p.add_argument("--force", action="store_true", help="allow unequal cycle counts")
-    p.add_argument("--max-n", type=int, dest="max_n", help="raise the feasibility guard")
+    sub.choices["intersect"].add_argument(
+        "--max-n", type=int, dest="max_n", help="raise the feasibility guard")
     sub.choices["rs-witness"].add_argument(
         "--max-candidates", type=int, dest="max_candidates", help="raise the candidate-count guard")
 
@@ -395,6 +397,11 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except OrbitPosetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (MemoryError, RecursionError) as exc:
+        # an input too large for this process, such as the rank matrix at
+        # n = 100000 or an enumeration 1050 pairs deep
+        print(f"error: input too large for this process ({type(exc).__name__})", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader left; what is still buffered goes to devnull when Python exits

@@ -45,10 +45,6 @@ class InvalidRankMatrix(OrbitPosetError):
     """A matrix fails the rank-matrix characterisation."""
 
 
-class RankMismatch(OrbitPosetError):
-    """An operation restricted to equal cycle counts got unequal ones."""
-
-
 class NotComparable(OrbitPosetError):
     """The two involutions are not related by the closure order."""
 

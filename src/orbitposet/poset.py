@@ -5,7 +5,8 @@ of involutions below one rank matrix, enumerated by one depth-first search,
 ``rank_matrices._below_bound``, that adds pairs while every window count
 stays within the bound, so the cost follows the size of the answer.  The
 intersection of two closures is the set below the entrywise minimum (meet)
-of the two matrices, and ``intersect`` finds its components in three steps:
+of the two matrices, for any two involutions of one rank whatever their
+cycle counts, and ``intersect`` finds its components in three steps:
 a comparable pair has the lower one as its only component; a meet that is
 itself the rank matrix of an involution has that involution as the only
 component (the intersection is irreducible exactly then), and one pass,
@@ -18,7 +19,7 @@ The search and the packed form it counts in live in :mod:`.rank_matrices`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .errors import BadRank, NotComparable, RankMismatch, SizeMismatch
+from .errors import BadRank, NotComparable
 from .involutions import Involution, _trusted, all_involutions, dimension, sigma_o
 from .limits import INTERSECT_MAX_N, SINGLE_PASS_MAX_N, check_guard
 from .moves import cover_moves, descendant_moves
@@ -75,16 +76,13 @@ def closure(inv: Involution) -> set[Involution]:
     return {_trusted(inv.n, pairs) for pairs, _, _ in _below_bound(rank_matrix(inv))}
 
 
-def intersect(
-    a: Involution, b: Involution, force: bool = False, max_n: int | None = None
-) -> IntersectionResult:
+def intersect(a: Involution, b: Involution, max_n: int | None = None) -> IntersectionResult:
     """Decompose the intersection of the two orbit closures.
 
-    Both arguments must have the same ambient rank and, unless ``force`` is
-    set, the same cycle count (the decomposition below is stated for equal
-    counts; ``force`` applies the same recipe outside that scope).  The
-    components are the maximal involutions below the meet, found in three
-    steps:
+    Both arguments must have the same ambient rank (else
+    :class:`SizeMismatch`, from the first ``leq``); their cycle counts may
+    differ.  The components are the maximal involutions below the meet,
+    found in three steps:
 
     1. if one rank matrix lies below the other, the meet is that matrix and
        its involution is the only component;
@@ -96,12 +94,6 @@ def intersect(
        this step is guarded: past n = ``limits.INTERSECT_MAX_N`` (or
        ``max_n``) it raises :class:`TooLarge` before any node is searched.
     """
-    if a.n != b.n:
-        raise SizeMismatch(f"cannot intersect ranks {a.n} and {b.n}")
-    if a.length != b.length and not force:
-        raise RankMismatch(
-            f"cycle counts differ ({a.length} vs {b.length}); pass force to proceed"
-        )
     ra, rb = rank_matrix(a), rank_matrix(b)
     if leq(ra, rb):
         bound, irreducible, components = ra, True, [a]

@@ -71,7 +71,8 @@ def _pack(n: int, cells: tuple[int, ...]) -> int:
     return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cells), "little")
 
 
-def _unpack(n: int, width: int, packed: int) -> tuple[int, ...]:
+def _unpack(n: int, packed: int) -> tuple[int, ...]:
+    width = _width(n)
     raw = packed.to_bytes(_tri_len(n) * width, "little")
     if width == 1:
         return tuple(raw)
@@ -113,14 +114,13 @@ class RankMatrix:
     """Strictly upper-triangular matrix with entries in ``0..n // 2``.
 
     ``RankMatrix(n, cells)`` takes the strict upper triangle row by row and
-    stores it as ``n``, the cell ``width`` in bytes (``_width(n)``) and
-    ``packed`` (see the module docstring).  ``cells``, ``entry`` and
-    ``to_rows`` are derived; ``entry`` reads 0 on and below the diagonal and
-    outside the index range.
+    stores it as ``n`` and ``packed``, its cells at ``_width(n)`` bytes each
+    (see the module docstring).  ``cells``, ``entry`` and ``to_rows`` are
+    derived; ``entry`` reads 0 on and below the diagonal and outside the
+    index range.
     """
 
     n: int
-    width: int
     packed: int
 
     def __init__(self, n: int, cells: tuple[int, ...]) -> None:
@@ -133,7 +133,6 @@ class RankMatrix:
         if cells and max(cells) > n // 2:
             raise OutOfRange(f"rank matrix entries must be at most n // 2 = {n // 2}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "width", _width(n))
         object.__setattr__(self, "packed", _pack(n, cells))
 
     @classmethod
@@ -141,14 +140,13 @@ class RankMatrix:
         """Unchecked constructor from cells packed at width ``_width(n)``, each below its guard bit."""
         m = object.__new__(cls)
         object.__setattr__(m, "n", n)
-        object.__setattr__(m, "width", _width(n))
         object.__setattr__(m, "packed", packed)
         return m
 
     @property
     def cells(self) -> tuple[int, ...]:
         """The strict upper triangle, row by row."""
-        return _unpack(self.n, self.width, self.packed)
+        return _unpack(self.n, self.packed)
 
     def __repr__(self) -> str:
         return f"RankMatrix(n={self.n!r}, cells={self.cells!r})"
@@ -156,7 +154,7 @@ class RankMatrix:
     def entry(self, i: int, j: int) -> int:
         if i < 1 or j > self.n or i >= j:
             return 0
-        bits = 8 * self.width
+        bits = 8 * _width(self.n)
         return (self.packed >> bits * _offset(self.n, i, j)) & ((1 << bits) - 1)
 
     def to_rows(self) -> list[list[int]]:
@@ -266,7 +264,7 @@ def meet(a: RankMatrix, b: RankMatrix) -> RankMatrix:
     if n != b.n:
         raise SizeMismatch(f"cannot meet ranks {n} and {b.n}")
     guard = _guard(n)
-    bits = 8 * a.width
+    bits = 8 * _width(n)
     ge = ((a.packed | guard) - b.packed) & guard
     mask = (ge >> (bits - 1)) * ((1 << bits) - 1)
     return RankMatrix._from_packed(n, (b.packed & mask) | (a.packed & ~mask))

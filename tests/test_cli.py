@@ -115,10 +115,10 @@ def test_intersect(capsys):
     ]
     code, out, _ = run(capsys, "intersect", "(1,5)(3,4)", "(2,4)(3,5)", "--n", "5")
     assert code == 0 and "irreducible: false" in out
-    # unequal cycle counts refuse without --force
-    code, _, err = run(capsys, "intersect", "(1,2)(3,4)", "(1,2)", "--n", "4")
-    assert code == 1 and "error:" in err
-    payload = run_json(capsys, "intersect", "(1,2)(3,4)", "(1,2)", "--n", "4", "--force")
+    # unequal cycle counts are answered, with a note
+    code, out, _ = run(capsys, "intersect", "(1,2)(3,4)", "(1,2)", "--n", "4")
+    assert code == 0 and out.splitlines()[-1] == "note: outside theorem scope"
+    payload = run_json(capsys, "intersect", "(1,2)(3,4)", "(1,2)", "--n", "4")
     assert payload["note"] == "outside theorem scope"
     code, _, err = run(capsys, "intersect", "(1,2)(3,4)", "(2,3)(4,5)", "--n", "13")
     assert code == 1 and one_error_line(err) and "pass a larger max_n (--max-n)" in err, err
@@ -358,6 +358,33 @@ def test_verify_has_no_cycle_count_filter(capsys):
     assert exc.value.code == 1 and captured.out == "" and one_error_line(captured.err)
 
 
+def test_intersect_has_no_force_flag(capsys):
+    # unequal cycle counts are answered without a flag, so intersect takes no --force
+    with pytest.raises(SystemExit) as exc:
+        main(["intersect", "(1,2)(3,4)", "(1,2)", "--n", "4", "--force"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == "" and one_error_line(captured.err)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_too_deep_an_enumeration_is_one_error_line(capsys, json_flag):
+    # its first involution is 1050 pairs deep, past the interpreter's recursion limit
+    code, out, err = run(capsys, "enumerate", "--n", "2100", "--k", "1050", *json_flag)
+    assert code == 1 and out == ""
+    assert err == "error: input too large for this process (RecursionError)\n"
+
+
+def test_running_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    # as `rank "(1,2)" --n 100000` does when it unpacks its cells
+    def exhausted(inv):
+        raise MemoryError
+
+    monkeypatch.setattr("orbitposet.cli.rank_matrix", exhausted)
+    code, out, err = run(capsys, "rank", "(1,2)", "--n", "100000")
+    assert code == 1 and out == ""
+    assert err == "error: input too large for this process (MemoryError)\n"
+
+
 # Three inputs per single-input command, one with an empty answer where one exists.
 STDIN_INPUTS = {
     "dim": ["id", "(1,2)", "(1,4)(2,3)"],
@@ -517,7 +544,7 @@ GOLDEN = [
         '{"a": "(1,4)(2,3)", "b": "(1,2)(3,4)", "codim": 1, "components": [{"dim": 3, "involution": "(1,3)(2,4)"}], "equidimensional": true, "irreducible": true, "meet": [[0, 0, 1, 2], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]], "n": 4}',
     ),
     (
-        ["intersect", "(1,2)(3,4)", "(1,2)", "--n", "4", "--force"],
+        ["intersect", "(1,2)(3,4)", "(1,2)", "--n", "4"],
         "meet:\n0 1 1 1\n0 0 0 0\n0 0 0 0\n0 0 0 0\nirreducible: true\ncomponents:\n  (1,2) dim 3\ncodim: 0\nequidimensional: true\nnote: outside theorem scope\n",
         '{"a": "(1,2)(3,4)", "b": "(1,2)", "codim": 0, "components": [{"dim": 3, "involution": "(1,2)"}], "equidimensional": true, "irreducible": true, "meet": [[0, 1, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], "n": 4, "note": "outside theorem scope"}',
     ),

@@ -13,7 +13,6 @@ from orbitposet import (
     Involution,
     NotComparable,
     RankMatrix,
-    RankMismatch,
     SizeMismatch,
     all_involutions,
     change_rule_partners,
@@ -85,12 +84,26 @@ def test_intersect_irreducible_example_n4():
 def test_intersect_preconditions():
     with pytest.raises(SizeMismatch):
         intersect(inv("(1,2)", 2), inv("(1,2)", 3))
-    with pytest.raises(RankMismatch):
-        intersect(inv("(1,2)(3,4)", 4), inv("(1,2)", 4))
-    # forcing applies the same recipe outside the equal-count scope
-    result = intersect(inv("(1,2)(3,4)", 4), inv("(1,2)", 4), force=True)
+    result = intersect(inv("(1,2)(3,4)", 4), inv("(1,2)", 4))
     assert result.components == (inv("(1,2)", 4),)
     assert result.codim == 0
+
+
+def test_intersect_answers_unequal_cycle_counts():
+    # the same recipe as for equal counts: the set below the meet, whatever the counts
+    result = intersect(inv("(1,2)(3,4)", 4), inv("(1,2)", 4))
+    assert result.to_json_dict() == {
+        "meet": [[0, 1, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        "irreducible": True,
+        "components": [{"involution": "(1,2)", "dim": 3}],
+        "codim": 0,
+        "equidimensional": True,
+    }
+    a, b = inv("(1,5)(3,4)", 5), inv("(2,3)", 5)  # neither below the other, a valid meet
+    assert intersect(a, b) == intersect(b, a)
+    assert intersect(a, b).components == (inv("(2,4)", 5),) and intersect(a, b).codim == 1
+    reducible = intersect(inv("(1,2)(3,4)", 5), inv("(2,3)", 5))
+    assert reducible.components == (inv("(1,3)", 5), inv("(2,4)", 5)) and not reducible.irreducible
 
 
 def test_intersect_component_invariants():
@@ -127,7 +140,7 @@ def test_intersect_equals_brute_force_exhaustively_to_n6():
     for n in range(1, 7):
         brute = BruteMaximal(n)
         for a, b in itertools.combinations_with_replacement(brute.els, 2):
-            assert list(intersect(a, b, force=True).components) == brute(a, b), (a, b)
+            assert list(intersect(a, b).components) == brute(a, b), (a, b)
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -136,7 +149,7 @@ def test_intersect_equals_brute_force_on_random_pairs(n):
     draw = random.Random(f"intersect-n{n}")
     for _ in range(600):
         a, b = draw.choice(brute.els), draw.choice(brute.els)
-        assert list(intersect(a, b, force=True).components) == brute(a, b), (a, b)
+        assert list(intersect(a, b).components) == brute(a, b), (a, b)
 
 
 def test_intersect_maximal_images_n12():
@@ -431,7 +444,7 @@ def test_search_outputs_equal_validated_involutions():
             outputs.append(from_rank_matrix(rank_matrix(e)))
         for _ in range(20):
             a, b = draw.choice(all_involutions(n)), draw.choice(all_involutions(n))
-            outputs.extend(intersect(a, b, force=True).components)
+            outputs.extend(intersect(a, b).components)
     for m in outputs:
         checked = Involution(m.n, m.pairs)
         assert type(m) is Involution
@@ -459,7 +472,7 @@ def test_intersect_answers_comparable_pairs_and_valid_meets_without_a_search(mon
     monkeypatch.setattr(poset, "_maximal_below", refuse)
     for a, b in comparable:
         for x, y in ((a, b), (b, a)):
-            result = intersect(x, y, force=True)
+            result = intersect(x, y)
             assert result.components == (a,) and result.meet == rank_matrix(a), (x, y)
             assert result.irreducible
     for a, b in valid_meets:

@@ -227,7 +227,7 @@ def test_from_rows_rejects_a_cell_above_half_the_rank():
 
 def test_packed_form_is_the_only_field():
     m = rank_matrix(inv("(1,5)(3,4)", 5))
-    assert [f.name for f in dataclasses.fields(RankMatrix)] == ["n", "width", "packed"]
+    assert [f.name for f in dataclasses.fields(RankMatrix)] == ["n", "packed"]
     assert not hasattr(m, "__dict__")
     assert repr(m) == "RankMatrix(n=5, cells=(0, 0, 1, 2, 0, 1, 1, 1, 1, 0))"
     twin = RankMatrix(5, m.cells)
