@@ -400,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (MemoryError, RecursionError) as exc:
         # an input too large for this process, such as the rank matrix at
-        # n = 100000 or an enumeration 1050 pairs deep
+        # n = 100000
         print(f"error: input too large for this process ({type(exc).__name__})", file=sys.stderr)
         return 1
     except BrokenPipeError:

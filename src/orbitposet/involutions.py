@@ -203,33 +203,44 @@ def enumerate_involutions(n: int, k: int | None = None) -> Iterator[Involution]:
     """Every involution of rank n (or only those with k pairs), lazily.
 
     Emission order is lexicographic on the flattened canonical pair list,
-    so identity comes first and the order is reproducible.  The recursion is
-    pure: its whole state is its arguments, the pairs so far as a tuple, the
-    used points as the bits of one int, and the smallest first entry left.
-    With ``k`` given, a node ends as soon as too few free points are left
-    for the pairs still missing.  Bad arguments raise at the call, before
-    anything is iterated.
+    so identity comes first and the order is reproducible.  The walk is one
+    loop over a stack of lazy iterators, one per open node, each giving that
+    node's children in order; so no depth limit applies, and the stack holds
+    at most ``n // 2 + 1`` iterators, however long the output.  A node is
+    the pairs so far as a tuple, the used points as the bits of one int, and
+    the smallest first entry left.  With ``k`` given, a node ends as soon as
+    too few free points are left for the pairs still missing.  Bad arguments
+    raise at the call, before anything is iterated.
     """
     if n < 1:
         raise OutOfRange(f"ambient rank must be >= 1, got {n}")
     if k is not None and not 0 <= k <= n // 2:
         raise BadRank(f"k={k} outside 0..{n // 2} for n={n}")
 
-    def rec(pairs: tuple[Pair, ...], used: int, min_first: int) -> Iterator[Involution]:
-        if k is None or len(pairs) == k:
-            yield _trusted(n, pairs)
-            if k is not None:
-                return
-        elif n + 1 - min_first - (used >> min_first).bit_count() < 2 * (k - len(pairs)):
-            return  # each missing pair needs two free points at or above min_first
-        for i in range(min_first, n + 1):
-            if used >> i & 1:
-                continue
-            for j in range(i + 1, n + 1):
-                if not used >> j & 1:
-                    yield from rec(pairs + ((i, j),), used | 1 << i | 1 << j, i + 1)
+    def children(pairs: tuple[Pair, ...], used: int, min_first: int) -> Iterator[tuple]:
+        # a call of its own, so each iterator keeps its own node's fields
+        return (
+            (pairs + ((i, j),), used | 1 << i | 1 << j, i + 1)
+            for i in range(min_first, n + 1) if not used >> i & 1
+            for j in range(i + 1, n + 1) if not used >> j & 1
+        )
 
-    return rec((), 0, 1)
+    def walk() -> Iterator[Involution]:
+        stack = [iter((((), 0, 1),))]
+        while stack:
+            for pairs, used, min_first in stack[-1]:  # the next node of the innermost open one
+                if k is None or len(pairs) == k:
+                    yield _trusted(n, pairs)
+                    if k is not None:
+                        continue
+                elif n + 1 - min_first - (used >> min_first).bit_count() < 2 * (k - len(pairs)):
+                    continue  # each missing pair needs two free points at or above min_first
+                stack.append(children(pairs, used, min_first))
+                break
+            else:  # that node has no children left
+                stack.pop()
+
+    return walk()
 
 
 @lru_cache(maxsize=None)

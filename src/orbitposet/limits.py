@@ -5,9 +5,10 @@ n=8 already), and single-pass scans stay cheap up to n=10.  ``intersect``
 answers comparable pairs and irreducible meets at every n, for what ``leq``
 and ``meet`` cost (11.5 ms for a pair of maximal orbits at n = 100), and
 guards only the search of a reducible meet: at n=14 with seven 2-cycles that
-search takes 1-3 s on random pairs of maximal orbits, so its guard stays at
-n=12.  A guard is lifted only per call: ``max_n=...`` in the API, ``--max-n``
-on the CLI.  An override replaces the default, so it can lower a guard too.
+search took 0.26-1.6 s on random pairs of maximal orbits (4 of 8 pairs
+needed it; shared 2-vCPU host, Python 3.11), so its guard stays at n=12.  A
+guard is lifted only per call: ``max_n=...`` in the API, ``--max-n`` on the
+CLI.  An override replaces the default, so it can lower a guard too.
 
 ``RS_WITNESS_MAX_CANDIDATES`` caps the tableaux ``find_rs_witness`` may scan.
 A miss scans every tableau of the shape, at 6-35 us each (the more

@@ -24,6 +24,13 @@ its pairs' masks, the search for everything below a bound adds one mask
 per pair, and ``meet`` and the filter for the maximal nodes of that search
 (``_maximal_below``) work on the packed ints too.  No other module knows
 this layout.
+
+That search (``_below_bound``) is one loop over an explicit stack, not a
+recursion, so a node is not passed up through its ancestors' frames.  Its
+state is the pairs, the packed counts and the free points as the bits of
+one int, from which pairs are chosen by bit operations.  Only a child that
+fits is pushed, and each is yielded later, so the stack never holds more
+than the rest of the output.
 """
 
 from __future__ import annotations
@@ -281,18 +288,17 @@ def from_rank_matrix(r: RankMatrix) -> Involution:
     return inv
 
 
-_Node = tuple[tuple[Pair, ...], int, int]  # pairs, packed counts, used points
+_Node = tuple[tuple[Pair, ...], int, int]  # pairs, packed counts, free points
 
 
 def _below_bound(bound: RankMatrix) -> Iterator[_Node]:
     """Every involution whose rank matrix lies entrywise below ``bound``.
 
     Yields the canonical pairs, the packed rank matrix (for
-    :meth:`RankMatrix._from_packed`) and the used points as the bits of one
-    int.  A pure depth-first recursion, whose whole state is those three
-    fields and the smallest first entry left, adds pairs with increasing first
-    entries; adding ``(a, b)`` adds its window mask.  Counts only grow, so a
-    branch is dropped as soon as one window would pass the bound.
+    :meth:`RankMatrix._from_packed`) and the free points as the bits of one
+    int.  A depth-first search adds pairs with increasing first entries;
+    adding ``(a, b)`` adds its window mask.  Counts only grow, so a branch is
+    dropped as soon as one window would pass the bound.
 
     The fit rule: ``(a, b)`` raises the windows ``(i, j)`` with ``i <= a``
     and ``j >= b``, a subset of what ``(a', b')`` raises when ``a <= a'`` and
@@ -302,31 +308,48 @@ def _below_bound(bound: RankMatrix) -> Iterator[_Node]:
     so if it fails the node is done.  The cuts skip only tests that would
     fail, and the work follows the size of the output.  Each involution is
     yielded once, in no promised order.
+
+    The search is one loop over an explicit stack.  An entry is a node and
+    its first entries left: the free points past the first entry of its last
+    pair, as bits.  First entries are read off the
+    bits lowest first, second entries highest first.  A popped node is
+    yielded, and its children (every pair that fits) are pushed in reverse,
+    so nodes come off in the preorder of a recursive search.  Every pushed
+    child is a node still to be yielded, so the stack never holds more than
+    the rest of the output.
     """
     n = bound.n
     masks = _pair_masks(n)
     guard = _guard(n)
     cap = bound.packed | guard
     points = (1 << (n + 1)) - 2  # bit x for each point x in 1..n
-
-    def rec(pairs: tuple[Pair, ...], counts: int, used: int, min_first: int) -> Iterator[_Node]:
-        yield pairs, counts, used
-        last = (points & ~used).bit_length() - 1  # the largest free point
-        for a in range(min_first, last):
-            if used >> a & 1:
-                continue
+    stack = [((), 0, points, points)]
+    pop = stack.pop
+    while stack:
+        pairs, counts, free, firsts = pop()
+        yield pairs, counts, free
+        last_bit = 1 << free.bit_length() >> 1  # the largest free point, 0 if none
+        lows = firsts & (last_bit - 1)  # first entries below the largest free point
+        children = []
+        while lows:
+            a_bit = lows & -lows
+            lows ^= a_bit
+            a = a_bit.bit_length() - 1
             row = masks[a]
-            for b in range(last, a, -1):
-                if used >> b & 1:
-                    continue
+            above = free & -(a_bit << 1)  # the free points past a, where b runs down
+            seconds = above
+            while seconds:
+                b = seconds.bit_length() - 1
+                b_bit = 1 << b
                 raised = counts + row[b]
                 if (cap - raised) & guard != guard:
-                    if b == last:  # the weakest pair at a fails, so every later a fails
-                        return
-                    break
-                yield from rec(pairs + ((a, b),), raised, used | 1 << a | 1 << b, a + 1)
-
-    return rec((), 0, 0, 1)
+                    break  # every smaller b fails too
+                children.append((pairs + ((a, b),), raised, free ^ a_bit ^ b_bit, above ^ b_bit))
+                seconds ^= b_bit
+            if seconds == above:  # the weakest pair at a failed, so every later a fails
+                break
+        children.reverse()
+        stack += children
 
 
 def _maximal_below(bound: RankMatrix) -> list[tuple[Pair, ...]]:
@@ -338,19 +361,18 @@ def _maximal_below(bound: RankMatrix) -> list[tuple[Pair, ...]]:
     and is not maximal; and as every node lies below a maximal one, the
     maximal saturated nodes are the maximal nodes.  By the fit rule of
     :func:`_below_bound`, the pair of the first and the last free point is
-    the weakest free pair, and one fit test on it decides saturation.  The
-    saturated nodes are then filtered as packed ints with the guard-bit
-    test: a candidate below a kept node is dropped, otherwise it replaces the
-    kept nodes below it.  The order of the result is not promised.
+    the weakest free pair, and one fit test on it, read off the free bits
+    the search yields, decides saturation.  The saturated nodes are then
+    filtered as packed ints with the guard-bit test: a candidate below a
+    kept node is dropped, otherwise it replaces the kept nodes below it.
+    The order of the result is not promised.
     """
     n = bound.n
     masks = _pair_masks(n)
     guard = _guard(n)
     cap = bound.packed | guard
-    points = (1 << (n + 1)) - 2  # bit x for each point x in 1..n
     kept: list[tuple[tuple[Pair, ...], int]] = []
-    for pairs, counts, used in _below_bound(bound):
-        free = points & ~used
+    for pairs, counts, free in _below_bound(bound):
         if free & (free - 1):  # two free points or more
             first, last = (free & -free).bit_length() - 1, free.bit_length() - 1
             if (cap - counts - masks[first][last]) & guard == guard:

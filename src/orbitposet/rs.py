@@ -158,9 +158,10 @@ def _reverse_bumps(
 
 def rs_word(p_tab: StandardTableau, q_tab: StandardTableau) -> tuple[int, ...]:
     """Invert :func:`rs_pair`: the word whose insertion pair is (p_tab, q_tab)."""
-    if p_tab.shape != q_tab.shape:
+    p_rows, q_rows = p_tab.rows, q_tab.rows
+    if len(p_rows) != len(q_rows) or any(len(p) != len(q) for p, q in zip(p_rows, q_rows)):
         raise ShapeMismatch(f"shapes differ: {p_tab.shape} vs {q_tab.shape}")
-    word = list(_reverse_bumps(*_column_form(p_tab.rows), _row_index(q_tab.rows, q_tab.n)))
+    word = list(_reverse_bumps(*_column_form(p_rows), _row_index(q_rows, q_tab.n)))
     word.reverse()
     return tuple(word)
 

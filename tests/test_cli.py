@@ -367,8 +367,12 @@ def test_intersect_has_no_force_flag(capsys):
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
-def test_too_deep_an_enumeration_is_one_error_line(capsys, json_flag):
-    # its first involution is 1050 pairs deep, past the interpreter's recursion limit
+def test_too_deep_an_enumeration_is_one_error_line(capsys, monkeypatch, json_flag):
+    # the enumeration itself has no depth limit, so the recursion limit is hit by hand
+    def too_deep(n, k):
+        raise RecursionError
+
+    monkeypatch.setattr("orbitposet.cli.enumerate_involutions", too_deep)
     code, out, err = run(capsys, "enumerate", "--n", "2100", "--k", "1050", *json_flag)
     assert code == 1 and out == ""
     assert err == "error: input too large for this process (RecursionError)\n"

@@ -1,5 +1,7 @@
 """Core involution type and statistics, pinned against worked examples."""
 
+from itertools import islice
+
 import pytest
 
 from orbitposet import (
@@ -224,7 +226,7 @@ def test_enumeration_small_cases():
 
 
 def test_enumeration_is_sorted_and_complete():
-    for n in range(1, 7):
+    for n in range(1, 10):
         els = list(enumerate_involutions(n))
         keys = [tuple(x for p in e.pairs for x in p) for e in els]
         assert keys == sorted(keys)
@@ -253,6 +255,15 @@ def test_enumeration_by_k_matches_the_unpruned_recursion():
     for n in range(1, 11):
         for k in range(n // 2 + 1):
             assert [e.pairs for e in enumerate_involutions(n, k)] == _reference_pairs(n, k), (n, k)
+
+
+def test_enumeration_runs_past_the_recursion_limit():
+    # a walk that recursed once per pair stopped with RecursionError after 992 of these
+    first = list(islice(enumerate_involutions(2100), 1001))
+    assert [e.length for e in first] == list(range(1001))
+    assert first[-1].pairs == tuple((2 * s + 1, 2 * s + 2) for s in range(1000))
+    deepest = next(enumerate_involutions(2100, 1050))
+    assert deepest.pairs == tuple((2 * s + 1, 2 * s + 2) for s in range(1050))
 
 
 def test_enumerated_involutions_equal_validated_ones():

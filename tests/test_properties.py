@@ -1,4 +1,5 @@
-"""Property tests on random involutions up to n = 30, drawn by hypothesis.
+"""Property tests on random involutions up to n = 30, drawn by hypothesis,
+and on every node of the search under random meets up to n = 10.
 
 The runs are derandomized and bounded, so every run tries the same examples.
 """
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from orbitposet import (
     ColumnPairArray,
     InvalidRankMatrix,
+    Involution,
     TwoColumnTableau,
     ancestor_moves,
     ancestors,
@@ -24,6 +26,7 @@ from orbitposet import (
     meet,
     rank_matrix,
 )
+from orbitposet.rank_matrices import _below_bound
 
 MAX_N = 30
 
@@ -59,6 +62,35 @@ def test_a_valid_meet_recovers_to_its_own_involution(pair):
     else:
         with pytest.raises(InvalidRankMatrix):
             from_rank_matrix(bound)
+
+
+def assert_nodes_are_consistent(bound):
+    """Every node of the search under ``bound``: canonical pairs, their rank
+    matrix packed, and exactly the points no pair uses as free bits.
+    Returns the number of nodes."""
+    n = bound.n
+    nodes = 0
+    for pairs, counts, free in _below_bound(bound):
+        inv = Involution(n, pairs)  # raises unless the pairs are canonical within 1..n
+        assert inv.pairs == pairs
+        assert counts == rank_matrix(inv).packed
+        used = {x for pair in pairs for x in pair}
+        assert free == sum(1 << x for x in range(1, n + 1) if x not in used)
+        nodes += 1
+    return nodes
+
+
+@checked
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(involution_of_rank(n), involution_of_rank(n))))
+def test_every_search_node_keeps_its_pairs_counts_and_free_points(pair):
+    assert_nodes_are_consistent(meet(*map(rank_matrix, pair)))
+
+
+def test_search_nodes_past_one_machine_word():
+    # at n = 70 the free points fill bits 1..70, more than one 64-bit word
+    a = Involution(70, ((1, 3), (2, 69), (68, 70)))
+    b = Involution(70, ((1, 70), (2, 4), (66, 67)))
+    assert assert_nodes_are_consistent(meet(rank_matrix(a), rank_matrix(b))) == 8588
 
 
 def mirror(e):

@@ -82,8 +82,15 @@ def test_rs_word_inverts_hand_example():
 
 
 def test_rs_word_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        rs_word(StandardTableau(((1, 2),)), StandardTableau(((1,), (2,))))
+    # row counts apart, and equal row counts with one row length apart
+    for p_rows, q_rows, message in [
+        (((1, 2),), ((1,), (2,)), "shapes differ: (2,) vs (1, 1)"),
+        (((1, 2, 3), (4,)), ((1, 2), (3, 4)), "shapes differ: (3, 1) vs (2, 2)"),
+        (((1, 2), (3, 4)), ((1, 2), (3,), (4,)), "shapes differ: (2, 2) vs (2, 1, 1)"),
+    ]:
+        with pytest.raises(ShapeMismatch) as exc:
+            rs_word(StandardTableau(p_rows), StandardTableau(q_rows))
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
