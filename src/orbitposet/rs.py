@@ -77,6 +77,8 @@ class StandardTableau:
 def rs_pair(word: tuple[int, ...] | list[int]) -> tuple[StandardTableau, StandardTableau]:
     """Row-insert a permutation word; returns (insertion, recording) tableaux."""
     w = tuple(word)
+    if not w:  # no tableau has zero boxes
+        raise NotAPermutation("the word must be nonempty")
     if sorted(w) != list(range(1, len(w) + 1)):
         raise NotAPermutation(f"{w} is not a permutation of 1..{len(w)}")
     p_rows: list[list[int]] = []

@@ -7,6 +7,12 @@ map.  Exchanging one entry between the columns (``change``) realises the
 codimension-one intersections of two maximal orbit closures; the two
 candidate rules below enumerate exactly the exchanges that work.
 
+Read 1..n in order, a tableau is a bracket word: first-column entries open
+and second-column entries close.  The columns form a tableau exactly when
+no entry closes with nothing open, that is when the r-th second-column
+entry is at least 2r, and ``sigma_T`` pairs each closer with the nearest
+entry still open.
+
 Text format: columns separated by ``|``, entries comma-separated, e.g.
 ``"1,2,3,6|4,5,7,8"``; a single-column tableau is written without the bar.
 """
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from itertools import filterfalse
 from typing import Iterator
 
-from .errors import InvalidTableau, NotInColumn, ParseError
+from .errors import BadRank, InvalidTableau, NotInColumn, OutOfRange, ParseError
 from .involutions import Involution, Pair, _unchecked, canonicalize, dimension
 from .moves import ancestors, descendants
 
@@ -107,18 +113,20 @@ class TwoColumnTableau(ColumnPairArray):
 
 
 def sigma_pairs_by_b(tab: TwoColumnTableau) -> tuple[Pair, ...]:
-    """Greedy pairing in second-column order.
+    """Greedy pairing in second-column order, read as brackets.
 
-    Each second-column entry b grabs the largest still-free first-column
-    entry below it.  The result lists pairs by increasing b, which is the
-    presentation the exchange rules below are indexed against.
+    Reading 1..n in order, a first-column entry opens and a second-column
+    entry b closes the nearest entry still open.  The first-column entries
+    below the s-th closer b are the first ``b - s`` of that column, so each
+    closer pushes the ones not yet opened and pops one.  A pair encloses
+    only whole pairs, so its gap is odd.  The result lists pairs by
+    increasing b, which is the presentation the exchange rules below are
+    indexed against.
     """
-    free = set(tab.col1)
-    pairs: list[Pair] = []
-    for b in tab.col2:
-        i = max(d for d in free if d < b)
-        free.remove(i)
-        pairs.append((i, b))
+    col1, opened, pairs = tab.col1, [], []
+    for s, b in enumerate(tab.col2, start=1):
+        opened += col1[len(opened) + len(pairs) : b - s]
+        pairs.append((opened.pop(), b))
     return tuple(pairs)
 
 
@@ -229,22 +237,24 @@ def _second_columns(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """The second column of every tableau with column lengths (n-k, k).
 
     A k-subset works as the second column iff its r-th smallest entry is at
-    least 2r (the ballot condition), so the column is built entry by entry:
-    its r-th entry runs from ``max(previous + 1, 2r)`` to ``n - (k - r)``,
-    and every prefix extends to a tableau.  The order is lexicographic.
+    least 2r (the ballot condition: no closer without an open entry), so its
+    r-th entry runs from the floor ``max(previous + 1, 2r)`` to the ceiling
+    ``n - k + r``.  Each step raises the last entry below its ceiling and
+    resets every later one to its floor; the order is lexicographic.
     """
     if not 0 <= k <= n // 2:
         return
-
-    def rec(col2: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        r = len(col2) + 1
-        if r > k:
-            yield col2
+    col2 = list(range(2, 2 * k + 1, 2))
+    while True:
+        yield tuple(col2)
+        r = k
+        while r and col2[r - 1] == n - k + r:
+            r -= 1
+        if not r:
             return
-        for c in range(max(col2[-1] + 1 if col2 else 0, 2 * r), n - k + r + 1):
-            yield from rec(col2 + (c,))
-
-    yield from rec(())
+        col2[r - 1] += 1
+        for i in range(r, k):
+            col2[i] = max(col2[i - 1] + 1, 2 * i + 2)
 
 
 def _first_column(n: int, col2: tuple[int, ...]) -> tuple[int, ...]:
@@ -252,14 +262,13 @@ def _first_column(n: int, col2: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(filterfalse(set(col2).__contains__, range(1, n + 1)))
 
 
-def _ballot_columns(n: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The columns ``(col1, col2)`` of every tableau with column lengths
-    (n-k, k), in the order of :func:`_second_columns`, not validated."""
-    for col2 in _second_columns(n, k):
-        yield _first_column(n, col2), col2
-
-
 def enumerate_tableaux(n: int, k: int) -> Iterator[TwoColumnTableau]:
-    """All two-column tableaux with column lengths (n-k, k), lexicographically."""
-    for col1, col2 in _ballot_columns(n, k):
-        yield TwoColumnTableau(col1, col2)
+    """All two-column tableaux with column lengths (n-k, k), lexicographically.
+
+    Bad arguments raise at the call, before anything is iterated.
+    """
+    if n < 1:
+        raise OutOfRange(f"ambient rank must be >= 1, got {n}")
+    if not 0 <= k <= n // 2:
+        raise BadRank(f"k={k} outside 0..{n // 2} for n={n}")
+    return (TwoColumnTableau(_first_column(n, col2), col2) for col2 in _second_columns(n, k))

@@ -74,6 +74,9 @@ def test_rs_pair_rejects_non_permutation():
         rs_pair([1, 1, 2])
     with pytest.raises(NotAPermutation):
         rs_pair([0, 1])
+    # no tableau has zero boxes, so the checked StandardTableau(()) would refuse it too
+    with pytest.raises(NotAPermutation, match="nonempty"):
+        rs_pair([])
 
 
 def test_rs_word_inverts_hand_example():

@@ -1,15 +1,19 @@
 """Two-column tableaux, the maximal-orbit map, and exchange partner rules."""
 
+import ast
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from orbitposet import (
+    BadRank,
     ColumnPairArray,
     InvalidTableau,
     Involution,
     NotInColumn,
+    OutOfRange,
     ParseError,
     TwoColumnTableau,
     all_involutions,
@@ -33,7 +37,7 @@ from orbitposet import (
     tableau_of,
 )
 
-from orbitposet.tableaux import _ballot_columns
+from orbitposet.tableaux import _first_column, _second_columns
 
 EXAMPLE = TwoColumnTableau((1, 2, 3, 6), (4, 5, 7, 8))
 
@@ -324,4 +328,66 @@ def _reference_ballot_columns(n, k):
 def test_ballot_columns_match_the_subset_filter():
     for n in range(15):
         for k in range(-1, n // 2 + 2):
-            assert list(_ballot_columns(n, k)) == list(_reference_ballot_columns(n, k)), (n, k)
+            columns = [(_first_column(n, c), c) for c in _second_columns(n, k)]
+            assert columns == list(_reference_ballot_columns(n, k)), (n, k)
+
+
+def test_enumeration_runs_past_the_recursion_limit():
+    first = next(enumerate_tableaux(2100, 1050))
+    assert first.col2 == tuple(range(2, 2101, 2))
+
+
+@pytest.mark.parametrize(
+    "n, k, error", [(0, 0, OutOfRange), (-1, 0, OutOfRange), (3, 2, BadRank), (4, -1, BadRank)]
+)
+def test_enumeration_checks_its_arguments_at_the_call(n, k, error):
+    with pytest.raises(error):
+        enumerate_tableaux(n, k)  # not iterated
+
+
+def _reference_sigma_pairs_by_b(tab):
+    """Each second-column entry b takes the largest still-free first-column entry below it."""
+    free = set(tab.col1)
+    pairs = []
+    for b in tab.col2:
+        i = max(d for d in free if d < b)
+        free.remove(i)
+        pairs.append((i, b))
+    return tuple(pairs)
+
+
+def test_sigma_pairs_by_b_matches_the_free_set_reference():
+    for n in range(1, 13):
+        for k in range(n // 2 + 1):
+            for tab in enumerate_tableaux(n, k):
+                assert sigma_pairs_by_b(tab) == _reference_sigma_pairs_by_b(tab), tab
+
+
+def _self_calls(tree, module):
+    """The qualified name of every function whose body calls it by its own name."""
+    stack = [(tree, module)]
+    while stack:
+        node, qualname = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                stack.append((child, qualname))
+                continue
+            inner = f"{qualname}.{child.name}"
+            stack.append((child, inner))
+            if isinstance(child, ast.ClassDef):
+                continue
+            calls = (c for c in ast.walk(child) if isinstance(c, ast.Call))
+            if any(getattr(c.func, "id", None) == child.name for c in calls):
+                yield inner
+
+
+def test_no_library_function_calls_itself():
+    # the oracle's bounded reference walks (fill, walk) are the exception
+    package = Path(__file__).resolve().parent.parent / "src" / "orbitposet"
+    found = [
+        name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "oracle.py"
+        for name in _self_calls(ast.parse(path.read_text()), path.stem)
+    ]
+    assert found == []
