@@ -12,6 +12,10 @@ Each suite checks every cycle count k at every rank up to ``n_max`` (its
 own default unless given; ``--n`` on the CLI).  ``max_n`` (``--max-n``)
 lifts the suite's feasibility guard for one call.  Run everything from the
 command line with ``orbitposet verify --all``.
+
+A check passes its witness as a zero-argument callable, and the text is
+built only for a check that fails: the passing checks, which are nearly
+all of them, format nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import random
 import time
 from dataclasses import asdict, dataclass
 from math import factorial
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import UnknownSuite
 from .involutions import (
@@ -141,23 +145,27 @@ class VerificationReport:
 
 class _Recorder:
     """Collects one suite's checks.  ``checks`` (reported as ``checks_run``)
-    counts checks, never failures: a check that fails is still one check."""
+    counts checks, never failures: a check that fails is still one check.
+
+    ``witness`` is a zero-argument callable returning the witness text.  It
+    is called only when the check fails, and inside the call, so it reads
+    the loop variables of the check that failed."""
 
     def __init__(self) -> None:
         self.checks = 0
         self.failures: list[Failure] = []
         self.notes: list[str] = []
 
-    def check(self, ok: bool, claim: str, witness: str, expected, got) -> None:
+    def check(self, ok: bool, claim: str, witness: Callable[[], str], expected, got) -> None:
         self.checks += 1
         if not ok:
-            self.failures.append(Failure(claim, witness, str(expected), str(got)))
+            self.failures.append(Failure(claim, witness(), str(expected), str(got)))
 
-    def holds(self, ok: bool, claim: str, witness: str) -> None:
+    def holds(self, ok: bool, claim: str, witness: Callable[[], str]) -> None:
         """One check that ``claim`` is true of ``witness``."""
         self.check(ok, claim, witness, True, False)
 
-    def equal(self, expected, got, claim: str, witness: str) -> None:
+    def equal(self, expected, got, claim: str, witness: Callable[[], str]) -> None:
         self.check(expected == got, claim, witness, expected, got)
 
     def note(self, message: str) -> None:
@@ -171,10 +179,15 @@ class _Recorder:
 def _strictly_below(
     els: tuple[Involution, ...]
 ) -> dict[Involution, frozenset[Involution]]:
-    """What lies strictly below each element of ``els``, by all-pairs ``leq``."""
-    mats = {e: rank_matrix(e) for e in els}
+    """What lies strictly below each element of ``els``, by all-pairs ``leq``.
+
+    ``els`` holds distinct elements, so "not x itself" is a test on the
+    position, and the scan reads each matrix from a list by index.
+    """
+    mats = [rank_matrix(e) for e in els]
     return {
-        x: frozenset(y for y in els if y != x and leq(mats[y], mats[x])) for x in els
+        x: frozenset(els[j] for j, m in enumerate(mats) if j != i and leq(m, mats[i]))
+        for i, x in enumerate(els)
     }
 
 
@@ -205,16 +218,16 @@ def _suite_counts(rec: _Recorder, n_max: int) -> None:
     """Enumeration is complete, canonical, duplicate-free, in stable order."""
     for n in range(1, n_max + 1):
         els = list(all_involutions(n))
-        rec.equal(involution_number(n), len(els), "involution count", f"n={n}")
-        rec.equal(len(set(els)), len(els), "no duplicates", f"n={n}")
+        rec.equal(involution_number(n), len(els), "involution count", lambda: f"n={n}")
+        rec.equal(len(set(els)), len(els), "no duplicates", lambda: f"n={n}")
         keys = [tuple(x for p in e.pairs for x in p) for e in els]
-        rec.equal(sorted(keys), keys, "flattened lexicographic order", f"n={n}")
+        rec.equal(sorted(keys), keys, "flattened lexicographic order", lambda: f"n={n}")
         total = 0
         for k in range(n // 2 + 1):
             count = len(all_involutions(n, k))
-            rec.equal(involution_number_k(n, k), count, "count by pair number", f"n={n} k={k}")
+            rec.equal(involution_number_k(n, k), count, "count by pair number", lambda: f"n={n} k={k}")
             total += count
-        rec.equal(len(els), total, "counts partition the total", f"n={n}")
+        rec.equal(len(els), total, "counts partition the total", lambda: f"n={n}")
 
 
 def _suite_dimension(rec: _Recorder, n_max: int) -> None:
@@ -223,25 +236,25 @@ def _suite_dimension(rec: _Recorder, n_max: int) -> None:
         mats = {e: rank_matrix(e) for e in all_involutions(n)}
         for k in range(n // 2 + 1):
             base = sigma_o(n, k)
-            rec.equal(k * (k + 1) // 2, dimension(base), "minimal orbit dimension", f"n={n} k={k}")
-            rec.equal(set(), descendants(base), "minimal orbit has no descendants", f"n={n} k={k}")
+            rec.equal(k * (k + 1) // 2, dimension(base), "minimal orbit dimension", lambda: f"n={n} k={k}")
+            rec.equal(set(), descendants(base), "minimal orbit has no descendants", lambda: f"n={n} k={k}")
             for e in all_involutions(n):
                 if e.length >= k:
-                    rec.holds(leq(mats[base], mats[e]), "minimal orbit below every longer element", f"n={n} k={k} sigma={e}")
+                    rec.holds(leq(mats[base], mats[e]), "minimal orbit below every longer element", lambda: f"n={n} k={k} sigma={e}")
             maximal = {e for e in all_involutions(n, k) if dimension(e) == k * (n - k)}
             images = {sigma_T(t) for t in enumerate_tableaux(n, k)}
-            rec.equal(images, maximal, "maximal orbits are tableau images", f"n={n} k={k}")
+            rec.equal(images, maximal, "maximal orbits are tableau images", lambda: f"n={n} k={k}")
             no_desc = {e for e in all_involutions(n, k) if not descendants(e)}
-            rec.equal({base}, no_desc, "only the minimal orbit lacks descendants", f"n={n} k={k}")
+            rec.equal({base}, no_desc, "only the minimal orbit lacks descendants", lambda: f"n={n} k={k}")
             no_anc = {e for e in all_involutions(n, k) if not ancestors(e)}
-            rec.equal(maximal, no_anc, "only maximal orbits lack ancestors", f"n={n} k={k}")
+            rec.equal(maximal, no_anc, "only maximal orbits lack ancestors", lambda: f"n={n} k={k}")
             for e in all_involutions(n, k):
                 d = dimension(e)
-                rec.check(0 <= d <= k * (n - k), "dimension bound", f"n={n} sigma={e}", f"0..{k * (n - k)}", d)
+                rec.check(0 <= d <= k * (n - k), "dimension bound", lambda: f"n={n} sigma={e}", f"0..{k * (n - k)}", d)
     # the minimal-orbit dimension formula is cheap enough to push further
     for n in range(max(n_max, 0) + 1, 13):
         for k in range(n // 2 + 1):
-            rec.equal(k * (k + 1) // 2, dimension(sigma_o(n, k)), "minimal orbit dimension", f"n={n} k={k}")
+            rec.equal(k * (k + 1) // 2, dimension(sigma_o(n, k)), "minimal orbit dimension", lambda: f"n={n} k={k}")
 
 
 def _suite_rank(rec: _Recorder, n_max: int) -> None:
@@ -249,23 +262,23 @@ def _suite_rank(rec: _Recorder, n_max: int) -> None:
     for n in range(1, n_max + 1):
         for e in all_involutions(n):
             r = rank_matrix(e)
-            rec.equal(e, from_rank_matrix(r), "recovery roundtrip", f"n={n} sigma={e}")
-            rec.holds(is_valid(r), "images are valid", f"n={n} sigma={e}")
-            rec.equal(e.length, r.entry(1, n) if n > 1 else 0, "corner entry is the pair count", f"n={n} sigma={e}")
+            rec.equal(e, from_rank_matrix(r), "recovery roundtrip", lambda: f"n={n} sigma={e}")
+            rec.holds(is_valid(r), "images are valid", lambda: f"n={n} sigma={e}")
+            rec.equal(e.length, r.entry(1, n) if n > 1 else 0, "corner entry is the pair count", lambda: f"n={n} sigma={e}")
     for n in range(2, min(n_max, 6) + 1):
         for e in all_involutions(n):
             r = rank_matrix(e)
             for i, j in itertools.combinations(range(1, n + 1), 2):
-                rec.equal(project(e, i, j).length, r.entry(i, j), "window law", f"n={n} sigma={e} window=({i},{j})")
+                rec.equal(project(e, i, j).length, r.entry(i, j), "window law", lambda: f"n={n} sigma={e} window=({i},{j})")
     for n in range(1, min(n_max, 6) + 1):
         images = {rank_matrix(e) for e in all_involutions(n)}
         valid = {r for r in _step_matrices(n) if is_valid(r)}
-        rec.equal(images, valid, "validity characterises exactly the images", f"n={n}")
+        rec.equal(images, valid, "validity characterises exactly the images", lambda: f"n={n}")
     rng = random.Random(20240216)
     for n in range(max(n_max, 0) + 1, 13):
         for _ in range(40):
             e = _random_involution(rng, n)
-            rec.equal(e, from_rank_matrix(rank_matrix(e)), "recovery roundtrip (spot)", f"n={n} sigma={e}")
+            rec.equal(e, from_rank_matrix(rank_matrix(e)), "recovery roundtrip (spot)", lambda: f"n={n} sigma={e}")
 
 
 def _random_involution(rng: random.Random, n: int) -> Involution:
@@ -307,21 +320,22 @@ def _suite_order(rec: _Recorder, n_max: int) -> None:
     """
     for n in range(1, n_max + 1):
         els = list(all_involutions(n))
-        mats = {e: rank_matrix(e) for e in els}
-        for e in els:
-            rec.holds(leq(mats[e], mats[e]), "reflexive", f"n={n} sigma={e}")
+        mats = [rank_matrix(e) for e in els]
+        for e, m in zip(els, mats):
+            rec.holds(leq(m, m), "reflexive", lambda: f"n={n} sigma={e}")
+        pos = range(len(els))
         if n <= 6:
             two_way = [
-                (a, b) for a, b in itertools.permutations(els, 2)
+                (els[a], els[b]) for a, b in itertools.permutations(pos, 2)
                 if leq(mats[a], mats[b]) and leq(mats[b], mats[a])
             ]
-            rec.equal([], two_way, "antisymmetric", f"n={n}")
+            rec.equal([], two_way, "antisymmetric", lambda: f"n={n}")
         if n <= 5:
             broken = [
-                (a, b, c) for a, b, c in itertools.product(els, repeat=3)
+                (els[a], els[b], els[c]) for a, b, c in itertools.product(pos, repeat=3)
                 if leq(mats[a], mats[b]) and leq(mats[b], mats[c]) and not leq(mats[a], mats[c])
             ]
-            rec.equal([], broken, "transitive", f"n={n}")
+            rec.equal([], broken, "transitive", lambda: f"n={n}")
     for n in range(1, min(n_max, 5) + 1):
         short = [e for e in all_involutions(n) if e.length <= 2]
         mats = {e: rank_matrix(e) for e in short}
@@ -331,7 +345,7 @@ def _suite_order(rec: _Recorder, n_max: int) -> None:
                     leq(mats[lower], mats[upper]),
                     _triangle_criterion(lower, upper),
                     "triangle-subset criterion matches the order",
-                    f"n={n} lower={lower} upper={upper}",
+                    lambda: f"n={n} lower={lower} upper={upper}",
                 )
 
 
@@ -376,7 +390,7 @@ def _suite_delete(rec: _Recorder, n_max: int) -> None:
                     r.entry(i, j) - shorter.entry(i, j) == (1 if i <= i_s and j >= j_s else 0)
                     for i, j in itertools.combinations(range(1, n + 1), 2)
                 )
-                rec.holds(ok, "one-pair deletion rank delta", f"n={n} sigma={e} s={s}")
+                rec.holds(ok, "one-pair deletion rank delta", lambda: f"n={n} sigma={e} s={s}")
 
 
 # Each tag's inverse law: its claim, the inverse move, and which new pair of
@@ -411,13 +425,13 @@ def _suite_moves(rec: _Recorder, n_max: int) -> None:
                     anchor = pick(set(m.target.pairs) - set(e.pairs))
                     got = inverse(m.target, m.target.pairs.index(anchor) + 1)
                     ok = e in got if isinstance(got, set) else e == got
-                    rec.check(ok, claim, f"n={n} sigma={e} {m.kind} at {m.source}", e, got)
+                    rec.check(ok, claim, lambda: f"n={n} sigma={e} {m.kind} at {m.source}", e, got)
                 for family, members in sets.items():
                     for target in members:
                         lo, hi = (rank_matrix(target), mat) if way == "down" else (mat, rank_matrix(target))
-                        rec.holds(leq(lo, hi) and target != e, f"{way}-moves go strictly {way}", f"n={n} sigma={e} family={family} target={target}")
+                        rec.holds(leq(lo, hi) and target != e, f"{way}-moves go strictly {way}", lambda: f"n={n} sigma={e} family={family} target={target}")
                 for (fam_a, set_a), (fam_b, set_b) in itertools.combinations(sets.items(), 2):
-                    rec.equal(set(), set_a & set_b, f"{way} families disjoint ({fam_a}/{fam_b})", f"n={n} sigma={e}")
+                    rec.equal(set(), set_a & set_b, f"{way} families disjoint ({fam_a}/{fam_b})", lambda: f"n={n} sigma={e}")
 
 
 def _suite_descendants(rec: _Recorder, n_max: int) -> None:
@@ -429,8 +443,8 @@ def _suite_descendants(rec: _Recorder, n_max: int) -> None:
             for e, members in below.items():
                 by_dim = {x for x in members if dimension(e) - dimension(x) == 1}
                 moved = descendants(e)
-                rec.equal(covers[e], moved, "descendants are the same-length covers", f"n={n} sigma={e}")
-                rec.equal(by_dim, moved, "descendants are the dimension-drop-one set", f"n={n} sigma={e}")
+                rec.equal(covers[e], moved, "descendants are the same-length covers", lambda: f"n={n} sigma={e}")
+                rec.equal(by_dim, moved, "descendants are the dimension-drop-one set", lambda: f"n={n} sigma={e}")
 
 
 def _suite_cover(rec: _Recorder, n_max: int) -> None:
@@ -438,9 +452,9 @@ def _suite_cover(rec: _Recorder, n_max: int) -> None:
     for n in range(1, n_max + 1):
         truth = _covers(_strictly_below(all_involutions(n)))
         for e in all_involutions(n):
-            rec.equal(truth[e], cover(e), "cover matches all-pairs scan", f"n={n} sigma={e}")
+            rec.equal(truth[e], cover(e), "cover matches all-pairs scan", lambda: f"n={n} sigma={e}")
             for lower in truth[e]:
-                rec.equal(1, dimension(e) - dimension(lower), "covers drop dimension by one", f"n={n} sigma={e} lower={lower}")
+                rec.equal(1, dimension(e) - dimension(lower), "covers drop dimension by one", lambda: f"n={n} sigma={e} lower={lower}")
 
 
 def _suite_depth(rec: _Recorder, n_max: int) -> None:
@@ -470,14 +484,14 @@ def _suite_depth(rec: _Recorder, n_max: int) -> None:
                 lo, hi = walk(x, target)
                 gap = dimension(x) - dimension(target)
                 claim = "all chains have length equal to the dimension gap"
-                rec.check(lo == hi == gap, claim, f"n={n} upper={x} lower={target}", gap, (lo, hi))
+                rec.check(lo == hi == gap, claim, lambda: f"n={n} upper={x} lower={target}", gap, (lo, hi))
         for x in all_involutions(n):
             for k in range(x.length + 1):
                 base = sigma_o(n, k)
                 if x == base:
-                    rec.equal(0, depth(x, k), "depth of the minimal element", f"n={n} k={k}")
+                    rec.equal(0, depth(x, k), "depth of the minimal element", lambda: f"n={n} k={k}")
                 else:
-                    rec.equal(chains[base][x][0], depth(x, k), "depth equals walked chain length", f"n={n} sigma={x} k={k}")
+                    rec.equal(chains[base][x][0], depth(x, k), "depth equals walked chain length", lambda: f"n={n} sigma={x} k={k}")
 
 
 def _suite_closure(rec: _Recorder, n_max: int) -> None:
@@ -485,7 +499,7 @@ def _suite_closure(rec: _Recorder, n_max: int) -> None:
     for n in range(1, n_max + 1):
         below = _strictly_below(all_involutions(n))
         for e in all_involutions(n):
-            rec.equal(below[e] | {e}, closure(e), "closure by rank-bounded search equals filter", f"n={n} sigma={e}")
+            rec.equal(below[e] | {e}, closure(e), "closure by rank-bounded search equals filter", lambda: f"n={n} sigma={e}")
 
 
 def _suite_reachability(rec: _Recorder, n_max: int) -> None:
@@ -502,7 +516,7 @@ def _suite_reachability(rec: _Recorder, n_max: int) -> None:
                         if d not in reached:
                             reached.add(d)
                             frontier.append(d)
-                rec.equal(below[e] | {e}, reached, "descendant steps reach the down-set", f"n={n} sigma={e}")
+                rec.equal(below[e] | {e}, reached, "descendant steps reach the down-set", lambda: f"n={n} sigma={e}")
 
 
 def _suite_codim(rec: _Recorder, n_max: int) -> None:
@@ -515,16 +529,16 @@ def _suite_codim(rec: _Recorder, n_max: int) -> None:
             for a, b in itertools.combinations_with_replacement(els, 2):
                 result = intersect(a, b)
                 one = len(result.components) == 1
-                rec.equal(result.irreducible, one, "irreducible exactly when one component", f"n={n} a={a} b={b}")
+                rec.equal(result.irreducible, one, "irreducible exactly when one component", lambda: f"n={n} a={a} b={b}")
                 if result.irreducible:
                     realised = rank_matrix(result.components[0])
-                    rec.equal(result.meet, realised, "irreducible component realises the meet", f"n={n} a={a} b={b}")
+                    rec.equal(result.meet, realised, "irreducible component realises the meet", lambda: f"n={n} a={a} b={b}")
                 for comp in result.components:
                     below_both = leq(rank_matrix(comp), mats[a]) and leq(rank_matrix(comp), mats[b])
-                    rec.holds(below_both, "components lie below both inputs", f"n={n} a={a} b={b} comp={comp}")
+                    rec.holds(below_both, "components lie below both inputs", lambda: f"n={n} a={a} b={b} comp={comp}")
                 for x, y in itertools.combinations(result.components, 2):
                     apart = not leq(rank_matrix(x), rank_matrix(y)) and not leq(rank_matrix(y), rank_matrix(x))
-                    rec.holds(apart, "components are incomparable", f"n={n} a={a} b={b}")
+                    rec.holds(apart, "components are incomparable", lambda: f"n={n} a={a} b={b}")
                 if a != b and not result.irreducible:
                     reducible.append((a, b, result))
         if reducible:
@@ -550,32 +564,32 @@ def _suite_ancestors(rec: _Recorder, n_max: int) -> None:
                     bool(descendants(a) & descendants(b)),
                     intersect(a, b).codim == 1,
                     "codim one iff shared degeneration (maximal orbits)",
-                    f"n={n} a={a} b={b}",
+                    lambda: f"n={n} a={a} b={b}",
                 )
             for tab in enumerate_tableaux(n, k):
                 sig = sigma_T(tab)
                 for lower in descendants(sig):
                     anc = ancestors(lower)
-                    rec.equal(2, len(anc), "exactly two ancestors", f"n={n} T={tab} lower={lower}")
-                    rec.holds(sig in anc, "original orbit is an ancestor", f"n={n} T={tab} lower={lower}")
+                    rec.equal(2, len(anc), "exactly two ancestors", lambda: f"n={n} T={tab} lower={lower}")
+                    rec.holds(sig in anc, "original orbit is an ancestor", lambda: f"n={n} T={tab} lower={lower}")
                     others = [a for a in anc if a != sig]
                     if len(others) != 1:
                         continue
                     other = others[0]
-                    rec.equal(top_dim, dimension(other), "second ancestor is maximal", f"n={n} T={tab} lower={lower}")
-                    rec.holds(tableau_of(other) is not None, "second ancestor is a tableau image", f"n={n} lower={lower}")
+                    rec.equal(top_dim, dimension(other), "second ancestor is maximal", lambda: f"n={n} T={tab} lower={lower}")
+                    rec.holds(tableau_of(other) is not None, "second ancestor is a tableau image", lambda: f"n={n} lower={lower}")
                     joint = meet(rank_matrix(sig), rank_matrix(other))
-                    rec.holds(is_valid(joint), "meet of the two ancestors is valid", f"n={n} T={tab} lower={lower}")
-                    rec.equal(rank_matrix(lower), joint, "meet realises the degeneration", f"n={n} T={tab} lower={lower}")
+                    rec.holds(is_valid(joint), "meet of the two ancestors is valid", lambda: f"n={n} T={tab} lower={lower}")
+                    rec.equal(rank_matrix(lower), joint, "meet realises the degeneration", lambda: f"n={n} T={tab} lower={lower}")
                     rec.equal(
                         {lower},
                         descendants(sig) & descendants(other),
                         "the two ancestors share exactly this descendant",
-                        f"n={n} T={tab} lower={lower}",
+                        lambda: f"n={n} T={tab} lower={lower}",
                     )
                     result = intersect(sig, other)
-                    rec.holds(result.irreducible, "codim-1 intersection of maximal orbits is irreducible", f"n={n} T={tab} lower={lower}")
-                    rec.equal((lower,), result.components, "intersection component is the degeneration", f"n={n} T={tab} lower={lower}")
+                    rec.holds(result.irreducible, "codim-1 intersection of maximal orbits is irreducible", lambda: f"n={n} T={tab} lower={lower}")
+                    rec.equal((lower,), result.components, "intersection component is the degeneration", lambda: f"n={n} T={tab} lower={lower}")
 
 
 def _suite_tableaux(rec: _Recorder, n_max: int) -> None:
@@ -583,26 +597,26 @@ def _suite_tableaux(rec: _Recorder, n_max: int) -> None:
     for n in range(1, n_max + 1):
         for k in range(n // 2 + 1):
             tabs = list(enumerate_tableaux(n, k))
-            rec.equal(hook_length_count(n, k), len(tabs), "tableau count matches hook lengths", f"n={n} k={k}")
+            rec.equal(hook_length_count(n, k), len(tabs), "tableau count matches hook lengths", lambda: f"n={n} k={k}")
             images = {}
             for tab in tabs:
                 sig = sigma_T(tab)
                 images[tab] = sig
-                rec.equal(k * (n - k), dimension(sig), "tableau image has maximal dimension", f"n={n} T={tab}")
-                rec.equal(tab, tableau_of(sig), "tableau roundtrip", f"n={n} T={tab}")
+                rec.equal(k * (n - k), dimension(sig), "tableau image has maximal dimension", lambda: f"n={n} T={tab}")
+                rec.equal(tab, tableau_of(sig), "tableau roundtrip", lambda: f"n={n} T={tab}")
                 by_b = sigma_pairs_by_b(tab)
                 for s, (i_s, b_s) in enumerate(by_b):
-                    rec.holds((b_s - i_s) % 2 == 1, "pair gaps are odd", f"n={n} T={tab} pair=({i_s},{b_s})")
+                    rec.holds((b_s - i_s) % 2 == 1, "pair gaps are odd", lambda: f"n={n} T={tab} pair=({i_s},{b_s})")
                     if i_s != b_s - 1:
                         earlier = {x for q in range(s) for x in by_b[q]}
                         rec.holds(
                             all(p in earlier for p in range(i_s + 1, b_s)),
                             "interior of a long pair is used by earlier pairs",
-                            f"n={n} T={tab} pair=({i_s},{b_s})",
+                            lambda: f"n={n} T={tab} pair=({i_s},{b_s})",
                         )
-            rec.equal(len(set(images.values())), len(tabs), "tableau map is injective", f"n={n} k={k}")
+            rec.equal(len(set(images.values())), len(tabs), "tableau map is injective", lambda: f"n={n} k={k}")
             maximal = {e for e in all_involutions(n, k) if dimension(e) == k * (n - k)}
-            rec.equal(maximal, set(images.values()), "images exhaust the maximal orbits", f"n={n} k={k}")
+            rec.equal(maximal, set(images.values()), "images exhaust the maximal orbits", lambda: f"n={n} k={k}")
 
 
 def _suite_partners(rec: _Recorder, n_max: int) -> None:
@@ -613,14 +627,14 @@ def _suite_partners(rec: _Recorder, n_max: int) -> None:
             via_thm = {tab: codim1_partners(tab) for tab in tabs}
             for tab in tabs:
                 via_change = change_rule_partners(tab)
-                rec.equal(via_thm[tab], via_change, "exchange rules match the ancestor route", f"n={n} T={tab}")
+                rec.equal(via_thm[tab], via_change, "exchange rules match the ancestor route", lambda: f"n={n} T={tab}")
                 for i, b in change_candidates_low(tab):
-                    rec.holds((b - i) % 2 == 1, "low exchange has odd gap", f"n={n} T={tab} swap=({i},{b})")
+                    rec.holds((b - i) % 2 == 1, "low exchange has odd gap", lambda: f"n={n} T={tab} swap=({i},{b})")
                 for a, bs in change_candidates_high(tab):
                     for b in bs:
-                        rec.holds((a - b) % 2 == 1, "high exchange has odd gap", f"n={n} T={tab} swap=({a},{b})")
+                        rec.holds((a - b) % 2 == 1, "high exchange has odd gap", lambda: f"n={n} T={tab} swap=({a},{b})")
                 for other in via_thm[tab]:
-                    rec.holds(tab in via_thm[other], "partnership is symmetric", f"n={n} T={tab} S={other}")
+                    rec.holds(tab in via_thm[other], "partnership is symmetric", lambda: f"n={n} T={tab} S={other}")
 
 
 def _suite_rs(rec: _Recorder, n_max: int) -> None:
@@ -628,7 +642,7 @@ def _suite_rs(rec: _Recorder, n_max: int) -> None:
     for n in range(1, min(n_max, 7) + 1):
         for word in itertools.permutations(range(1, n + 1)):
             p_tab, q_tab = rs_pair(word)
-            rec.equal(word, rs_word(p_tab, q_tab), "insertion roundtrip", f"word={list(word)}")
+            rec.equal(word, rs_word(p_tab, q_tab), "insertion roundtrip", lambda: f"word={list(word)}")
     for n in range(2, min(n_max, 6) + 1):
         for k in range(n // 2 + 1):
             tabs = list(enumerate_tableaux(n, k))
@@ -636,7 +650,7 @@ def _suite_rs(rec: _Recorder, n_max: int) -> None:
                 witness = find_rs_witness(t_tab, s_tab)
                 if witness is not None:
                     result = intersect(sigma_T(t_tab), sigma_T(s_tab))
-                    rec.equal(1, result.codim, "witness implies codimension one", f"n={n} T={t_tab} S={s_tab}")
+                    rec.equal(1, result.codim, "witness implies codimension one", lambda: f"n={n} T={t_tab} S={s_tab}")
     for n in range(4, n_max + 1):
         tabs = list(enumerate_tableaux(n, 2))
         for t_tab, s_tab in itertools.combinations(tabs, 2):
@@ -646,7 +660,7 @@ def _suite_rs(rec: _Recorder, n_max: int) -> None:
                 codim_one,
                 witness is not None,
                 "two-pair shape: witness exactly at codimension one",
-                f"n={n} T={t_tab} S={s_tab}",
+                lambda: f"n={n} T={t_tab} S={s_tab}",
             )
 
 

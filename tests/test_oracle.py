@@ -8,6 +8,8 @@ import pytest
 
 import orbitposet.oracle
 
+from orbitposet.oracle import _Recorder
+from orbitposet.tableaux import ColumnPairArray
 from orbitposet import (
     Involution,
     TooLarge,
@@ -209,14 +211,110 @@ def test_a_failing_scan_is_still_one_check(monkeypatch):
     assert all(f.expected == "[]" for f in antisymmetry)
 
 
+def _raise(*_):
+    raise AssertionError("witness text built for a passing check")
+
+
+def test_a_passing_check_never_builds_its_witness():
+    rec = _Recorder()
+    rec.check(True, "claim", _raise, 1, 2)
+    rec.holds(True, "claim", _raise)
+    rec.equal(1, 1, "claim", _raise)
+    assert rec.checks == 3 and rec.failures == []
+    rec.equal(1, 2, "claim", lambda: "w")
+    assert rec.checks == 4 and [str(f) for f in rec.failures] == ["claim | witness w | expected 1 | got 2"]
+
+
+def test_passing_suites_format_no_involution_or_tableau(monkeypatch):
+    monkeypatch.setattr(Involution, "__str__", _raise)
+    monkeypatch.setattr(ColumnPairArray, "__str__", _raise)
+    for name in suite_names():
+        assert verify_suite(name, n_max=4).passed, name
+
+
+def test_a_failure_from_the_positional_cover_table_keeps_its_text(monkeypatch):
+    monkeypatch.setattr(orbitposet.oracle, "cover", lambda e: set())
+    report = verify_suite("cover", n_max=4)
+    assert report.checks_run == 35 and len(report.failures) == 13
+    assert str(report.failures[0]) == (
+        "cover matches all-pairs scan | witness n=2 sigma=(1,2) | "
+        "expected {Involution(n=2, pairs=())} | got set()"
+    )
+    assert [f.witness for f in report.failures[-3:]] == ["n=4 sigma=(2,3)", "n=4 sigma=(2,4)", "n=4 sigma=(3,4)"]
+
+
+def test_a_failure_from_the_positional_triple_scan_keeps_its_text(monkeypatch):
+    # closeness of cell sums: reflexive and symmetric, but not transitive
+    monkeypatch.setattr(orbitposet.oracle, "leq", lambda a, b: abs(sum(a.cells) - sum(b.cells)) <= 1)
+    report = verify_suite("order", n_max=3)
+    assert report.checks_run == 34
+    [broken] = [f for f in report.failures if f.claim == "transitive"]
+    e, c12, c13, c23 = Involution.identity(3), inv("(1,2)", 3), inv("(1,3)", 3), inv("(2,3)", 3)
+    assert (broken.witness, broken.expected) == ("n=3", "[]")
+    assert broken.got == str([(e, c13, c12), (e, c13, c23), (c12, c13, e), (c23, c13, e)])
+
+
+def test_every_witness_is_a_lambda():
+    # eager f-strings cost every passing check their formatting
+    position = {"check": 2, "holds": 2, "equal": 3}
+    witnesses = [
+        node.args[position[node.func.attr]]
+        for node in ast.walk(ast.parse(Path(orbitposet.oracle.__file__).read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "rec"
+        and node.func.attr in position
+    ]
+    assert len(witnesses) > 50
+    assert [w.lineno for w in witnesses if not isinstance(w, ast.Lambda)] == []
+
+
+# the whole gate: every suite's checks and notes at its default range
 PINNED_CHECKS = {
+    "counts": 56,
+    "dimension": 5254,
+    "rank": 2733,
+    "order": 850,
+    "delete": 752,
     "moves": 7668,
     "descendants": 702,
     "cover": 387,
     "depth": 1836,
     "closure": 119,
     "reachability": 119,
+    "codim": 4674,
+    "ancestors": 1912,
+    "tableaux": 765,
+    "partners": 441,
+    "rs": 6086,
+    "experiments": 521,
 }
+PINNED_NOTES = {
+    "codim": (
+        "n=5: 10 reducible equal-length intersections; first (1,2)(3,4) with (1,3)(4,5): "
+        "components (1,3)(2,5),(1,4)(3,5)",
+        "n=6: 152 reducible equal-length intersections; first (1,2)(3,4) with (1,3)(4,5): "
+        "components (1,3)(2,5),(1,4)(3,5)",
+    ),
+    "experiments": (
+        *(
+            f"n={n}: equal-dimension pairs, codim-1 vs shared-descendant: {agree} agree, 0 disagree"
+            for n, agree in enumerate([0, 0, 1, 5, 38, 252], start=1)
+        ),
+        *(
+            f"n={n}: {count}/{count} codim-1 maximal intersections irreducible"
+            for n, count in enumerate([0, 1, 3, 9, 23, 55, 131], start=2)
+        ),
+        "smallest witness-free codim-1 pair with k>=3: n=6 k=3 T=1,3,5|2,4,6 S=1,2,3|4,5,6",
+    ),
+}
+
+
+def test_the_pins_cover_the_whole_gate():
+    assert list(PINNED_CHECKS) == suite_names()
+    assert sum(PINNED_CHECKS.values()) == 34875
+    assert set(PINNED_NOTES) <= set(PINNED_CHECKS)
 
 
 @pytest.mark.parametrize("name", PINNED_CHECKS)
@@ -224,6 +322,7 @@ def test_suite_check_count_is_pinned(name):
     report = verify_suite(name)
     assert report.passed
     assert report.checks_run == PINNED_CHECKS[name]
+    assert report.notes == PINNED_NOTES.get(name, ())
 
 
 def test_oracle_imports_no_private_names():
