@@ -16,6 +16,11 @@ command line with ``orbitposet verify --all``.
 A check passes its witness as a zero-argument callable, and the text is
 built only for a check that fails: the passing checks, which are nearly
 all of them, format nothing.
+
+Each table's per-element library answers (rank matrices, descendants,
+tableau images, dimensions) are computed once and read by position, and
+every element a check is about still reaches the library function under
+test.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ from .poset import closure, depth, intersect
 from .rank_matrices import RankMatrix, from_rank_matrix, is_valid, leq, meet, rank_matrix
 from .rs import find_rs_witness, rs_pair, rs_word
 from .tableaux import (
+    TwoColumnTableau,
     change_candidates_high,
     change_candidates_low,
     change_rule_partners,
@@ -233,23 +239,26 @@ def _suite_counts(rec: _Recorder, n_max: int) -> None:
 def _suite_dimension(rec: _Recorder, n_max: int) -> None:
     """Dimension bound, minimal and maximal orbit facts."""
     for n in range(1, n_max + 1):
-        mats = {e: rank_matrix(e) for e in all_involutions(n)}
+        els = all_involutions(n)
+        mats = [rank_matrix(e) for e in els]
         for k in range(n // 2 + 1):
             base = sigma_o(n, k)
+            base_mat = rank_matrix(base)
             rec.equal(k * (k + 1) // 2, dimension(base), "minimal orbit dimension", lambda: f"n={n} k={k}")
             rec.equal(set(), descendants(base), "minimal orbit has no descendants", lambda: f"n={n} k={k}")
-            for e in all_involutions(n):
+            for e, m in zip(els, mats):
                 if e.length >= k:
-                    rec.holds(leq(mats[base], mats[e]), "minimal orbit below every longer element", lambda: f"n={n} k={k} sigma={e}")
-            maximal = {e for e in all_involutions(n, k) if dimension(e) == k * (n - k)}
+                    rec.holds(leq(base_mat, m), "minimal orbit below every longer element", lambda: f"n={n} k={k} sigma={e}")
+            same = all_involutions(n, k)
+            dims = [dimension(e) for e in same]
+            maximal = {e for e, d in zip(same, dims) if d == k * (n - k)}
             images = {sigma_T(t) for t in enumerate_tableaux(n, k)}
             rec.equal(images, maximal, "maximal orbits are tableau images", lambda: f"n={n} k={k}")
-            no_desc = {e for e in all_involutions(n, k) if not descendants(e)}
+            no_desc = {e for e in same if not descendants(e)}
             rec.equal({base}, no_desc, "only the minimal orbit lacks descendants", lambda: f"n={n} k={k}")
-            no_anc = {e for e in all_involutions(n, k) if not ancestors(e)}
+            no_anc = {e for e in same if not ancestors(e)}
             rec.equal(maximal, no_anc, "only maximal orbits lack ancestors", lambda: f"n={n} k={k}")
-            for e in all_involutions(n, k):
-                d = dimension(e)
+            for e, d in zip(same, dims):
                 rec.check(0 <= d <= k * (n - k), "dimension bound", lambda: f"n={n} sigma={e}", f"0..{k * (n - k)}", d)
     # the minimal-orbit dimension formula is cheap enough to push further
     for n in range(max(n_max, 0) + 1, 13):
@@ -266,10 +275,13 @@ def _suite_rank(rec: _Recorder, n_max: int) -> None:
             rec.holds(is_valid(r), "images are valid", lambda: f"n={n} sigma={e}")
             rec.equal(e.length, r.entry(1, n) if n > 1 else 0, "corner entry is the pair count", lambda: f"n={n} sigma={e}")
     for n in range(2, min(n_max, 6) + 1):
+        windows = _windows(n)
         for e in all_involutions(n):
-            r = rank_matrix(e)
-            for i, j in itertools.combinations(range(1, n + 1), 2):
-                rec.equal(project(e, i, j).length, r.entry(i, j), "window law", lambda: f"n={n} sigma={e} window=({i},{j})")
+            cells = rank_matrix(e).cells
+            if len(cells) != len(windows):  # fails every window; zip would cut it short
+                cells = (None,) * len(windows)
+            for (i, j), got in zip(windows, cells):
+                rec.equal(project(e, i, j).length, got, "window law", lambda: f"n={n} sigma={e} window=({i},{j})")
     for n in range(1, min(n_max, 6) + 1):
         images = {rank_matrix(e) for e in all_involutions(n)}
         valid = {r for r in _step_matrices(n) if is_valid(r)}
@@ -279,6 +291,11 @@ def _suite_rank(rec: _Recorder, n_max: int) -> None:
         for _ in range(40):
             e = _random_involution(rng, n)
             rec.equal(e, from_rank_matrix(rank_matrix(e)), "recovery roundtrip (spot)", lambda: f"n={n} sigma={e}")
+
+
+def _windows(n: int) -> list[tuple[int, int]]:
+    """The windows ``(i, j)``, ``i < j``, in the row-by-row order of ``RankMatrix.cells``."""
+    return list(itertools.combinations(range(1, n + 1), 2))
 
 
 def _random_involution(rng: random.Random, n: int) -> Involution:
@@ -294,22 +311,26 @@ def _step_matrices(n: int) -> list[RankMatrix]:
     0 or 1 when the window grows by one row or column (the search space for
     validity: no window holds more than ``n // 2`` pairs).
 
-    Cells are filled by growing window, so both inner neighbours of a cell
-    are filled before it; a neighbour on the diagonal (slot ``None``) reads 0.
+    Cells are filled by growing window, one layer per cell, so both inner
+    neighbours of a cell are filled before it; a neighbour on the diagonal
+    (slot ``None``) reads 0.  Each layer extends every partial filling in
+    order, so the fillings come out in lexicographic order.
     """
     order = [(i, i + gap) for gap in range(1, n) for i in range(1, n - gap + 1)]
     slot = {cell: s for s, cell in enumerate(order)}
     inner = [(slot.get((i + 1, j)), slot.get((i, j - 1))) for i, j in order]
     row_major = [slot[(i, j)] for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
-    def fill(values: tuple[int, ...]) -> list[tuple[int, ...]]:
-        if len(values) == len(order):
-            return [values]
-        down, left = (0 if s is None else values[s] for s in inner[len(values)])
-        step = range(max(down, left), min(down + 1, left + 1, n // 2) + 1)
-        return [done for v in step for done in fill(values + (v,))]
-
-    return [RankMatrix(n, tuple(values[s] for s in row_major)) for values in fill(())]
+    layer: list[tuple[int, ...]] = [()]
+    for below, beside in inner:
+        grown = []
+        for values in layer:
+            down = 0 if below is None else values[below]
+            left = 0 if beside is None else values[beside]
+            step = range(max(down, left), min(down + 1, left + 1, n // 2) + 1)
+            grown += [values + (v,) for v in step]
+        layer = grown
+    return [RankMatrix(n, tuple(values[s] for s in row_major)) for values in layer]
 
 
 def _suite_order(rec: _Recorder, n_max: int) -> None:
@@ -331,18 +352,23 @@ def _suite_order(rec: _Recorder, n_max: int) -> None:
             ]
             rec.equal([], two_way, "antisymmetric", lambda: f"n={n}")
         if n <= 5:
+            # nested, so leq(a, b) is asked once per pair, not once per c
             broken = [
-                (els[a], els[b], els[c]) for a, b, c in itertools.product(pos, repeat=3)
-                if leq(mats[a], mats[b]) and leq(mats[b], mats[c]) and not leq(mats[a], mats[c])
+                (els[a], els[b], els[c])
+                for a in pos
+                for b in pos
+                if leq(mats[a], mats[b])
+                for c in pos
+                if leq(mats[b], mats[c]) and not leq(mats[a], mats[c])
             ]
             rec.equal([], broken, "transitive", lambda: f"n={n}")
     for n in range(1, min(n_max, 5) + 1):
         short = [e for e in all_involutions(n) if e.length <= 2]
-        mats = {e: rank_matrix(e) for e in short}
-        for lower in short:
-            for upper in short:
+        mats = [rank_matrix(e) for e in short]
+        for lower, lower_mat in zip(short, mats):
+            for upper, upper_mat in zip(short, mats):
                 rec.equal(
-                    leq(mats[lower], mats[upper]),
+                    leq(lower_mat, upper_mat),
                     _triangle_criterion(lower, upper),
                     "triangle-subset criterion matches the order",
                     lambda: f"n={n} lower={lower} upper={upper}",
@@ -381,14 +407,16 @@ def _triangle_criterion(lower: Involution, upper: Involution) -> bool:
 def _suite_delete(rec: _Recorder, n_max: int) -> None:
     """Deleting one pair lowers exactly the window counts that contained it."""
     for n in range(1, n_max + 1):
+        windows = _windows(n)
         for e in all_involutions(n):
-            r = rank_matrix(e)
+            cells = rank_matrix(e).cells
             for s in range(1, e.length + 1):
                 i_s, j_s = e.pairs[s - 1]
-                shorter = rank_matrix(delete_pair(e, s))
-                ok = all(
-                    r.entry(i, j) - shorter.entry(i, j) == (1 if i <= i_s and j >= j_s else 0)
-                    for i, j in itertools.combinations(range(1, n + 1), 2)
+                shorter = rank_matrix(delete_pair(e, s)).cells
+                # equal lengths first: zip would cut a wrong-length tuple short
+                ok = len(cells) == len(shorter) == len(windows) and all(
+                    a - b == (i <= i_s and j >= j_s)
+                    for (i, j), a, b in zip(windows, cells, shorter)
                 )
                 rec.holds(ok, "one-pair deletion rank delta", lambda: f"n={n} sigma={e} s={s}")
 
@@ -441,7 +469,8 @@ def _suite_descendants(rec: _Recorder, n_max: int) -> None:
             below = _strictly_below(all_involutions(n, k))
             covers = _covers(below)
             for e, members in below.items():
-                by_dim = {x for x in members if dimension(e) - dimension(x) == 1}
+                drop = dimension(e) - 1
+                by_dim = {x for x in members if dimension(x) == drop}
                 moved = descendants(e)
                 rec.equal(covers[e], moved, "descendants are the same-length covers", lambda: f"n={n} sigma={e}")
                 rec.equal(by_dim, moved, "descendants are the dimension-drop-one set", lambda: f"n={n} sigma={e}")
@@ -507,12 +536,15 @@ def _suite_reachability(rec: _Recorder, n_max: int) -> None:
     for n in range(1, n_max + 1):
         for k in range(n // 2 + 1):
             below = _strictly_below(all_involutions(n, k))
+            # one descendants call per element; a descendant outside the
+            # table already makes `reached` differ, so it is not walked on
+            steps = {e: descendants(e) for e in below}
             for e in below:
                 reached = {e}
                 frontier = [e]
                 while frontier:
                     nxt = frontier.pop()
-                    for d in descendants(nxt):
+                    for d in steps.get(nxt, ()):
                         if d not in reached:
                             reached.add(d)
                             frontier.append(d)
@@ -524,20 +556,21 @@ def _suite_codim(rec: _Recorder, n_max: int) -> None:
     for n in range(1, n_max + 1):
         reducible = []
         for k in range(n // 2 + 1):
-            els = list(all_involutions(n, k))
-            mats = {e: rank_matrix(e) for e in els}
-            for a, b in itertools.combinations_with_replacement(els, 2):
+            els = all_involutions(n, k)
+            mats = [rank_matrix(e) for e in els]
+            for ia, ib in itertools.combinations_with_replacement(range(len(els)), 2):
+                a, b = els[ia], els[ib]
                 result = intersect(a, b)
+                comp_mats = [rank_matrix(comp) for comp in result.components]
                 one = len(result.components) == 1
                 rec.equal(result.irreducible, one, "irreducible exactly when one component", lambda: f"n={n} a={a} b={b}")
                 if result.irreducible:
-                    realised = rank_matrix(result.components[0])
-                    rec.equal(result.meet, realised, "irreducible component realises the meet", lambda: f"n={n} a={a} b={b}")
-                for comp in result.components:
-                    below_both = leq(rank_matrix(comp), mats[a]) and leq(rank_matrix(comp), mats[b])
+                    rec.equal(result.meet, comp_mats[0], "irreducible component realises the meet", lambda: f"n={n} a={a} b={b}")
+                for comp, m in zip(result.components, comp_mats):
+                    below_both = leq(m, mats[ia]) and leq(m, mats[ib])
                     rec.holds(below_both, "components lie below both inputs", lambda: f"n={n} a={a} b={b} comp={comp}")
-                for x, y in itertools.combinations(result.components, 2):
-                    apart = not leq(rank_matrix(x), rank_matrix(y)) and not leq(rank_matrix(y), rank_matrix(x))
+                for x, y in itertools.combinations(comp_mats, 2):
+                    apart = not leq(x, y) and not leq(y, x)
                     rec.holds(apart, "components are incomparable", lambda: f"n={n} a={a} b={b}")
                 if a != b and not result.irreducible:
                     reducible.append((a, b, result))
@@ -556,19 +589,21 @@ def _suite_ancestors(rec: _Recorder, n_max: int) -> None:
     for n in range(1, n_max + 1):
         for k in range(n // 2 + 1):
             top_dim = k * (n - k)
-            sigmas = [sigma_T(tab) for tab in enumerate_tableaux(n, k)]
-            for a, b in itertools.combinations(sigmas, 2):
+            tabs = list(enumerate_tableaux(n, k))
+            sigmas = [sigma_T(tab) for tab in tabs]
+            down = [descendants(sig) for sig in sigmas]
+            down_of = dict(zip(sigmas, down))
+            for (a, down_a), (b, down_b) in itertools.combinations(zip(sigmas, down), 2):
                 # for maximal orbits, codimension one is the same thing as a
                 # shared one-level degeneration
                 rec.equal(
-                    bool(descendants(a) & descendants(b)),
+                    bool(down_a & down_b),
                     intersect(a, b).codim == 1,
                     "codim one iff shared degeneration (maximal orbits)",
                     lambda: f"n={n} a={a} b={b}",
                 )
-            for tab in enumerate_tableaux(n, k):
-                sig = sigma_T(tab)
-                for lower in descendants(sig):
+            for tab, sig, below in zip(tabs, sigmas, down):
+                for lower in below:
                     anc = ancestors(lower)
                     rec.equal(2, len(anc), "exactly two ancestors", lambda: f"n={n} T={tab} lower={lower}")
                     rec.holds(sig in anc, "original orbit is an ancestor", lambda: f"n={n} T={tab} lower={lower}")
@@ -583,7 +618,7 @@ def _suite_ancestors(rec: _Recorder, n_max: int) -> None:
                     rec.equal(rank_matrix(lower), joint, "meet realises the degeneration", lambda: f"n={n} T={tab} lower={lower}")
                     rec.equal(
                         {lower},
-                        descendants(sig) & descendants(other),
+                        below & (down_of[other] if other in down_of else descendants(other)),
                         "the two ancestors share exactly this descendant",
                         lambda: f"n={n} T={tab} lower={lower}",
                     )
@@ -646,16 +681,18 @@ def _suite_rs(rec: _Recorder, n_max: int) -> None:
     for n in range(2, min(n_max, 6) + 1):
         for k in range(n // 2 + 1):
             tabs = list(enumerate_tableaux(n, k))
-            for t_tab, s_tab in itertools.combinations(tabs, 2):
+            sigmas = [sigma_T(tab) for tab in tabs]
+            for (t_tab, t_sig), (s_tab, s_sig) in itertools.combinations(zip(tabs, sigmas), 2):
                 witness = find_rs_witness(t_tab, s_tab)
                 if witness is not None:
-                    result = intersect(sigma_T(t_tab), sigma_T(s_tab))
+                    result = intersect(t_sig, s_sig)
                     rec.equal(1, result.codim, "witness implies codimension one", lambda: f"n={n} T={t_tab} S={s_tab}")
     for n in range(4, n_max + 1):
         tabs = list(enumerate_tableaux(n, 2))
-        for t_tab, s_tab in itertools.combinations(tabs, 2):
+        sigmas = [sigma_T(tab) for tab in tabs]
+        for (t_tab, t_sig), (s_tab, s_sig) in itertools.combinations(zip(tabs, sigmas), 2):
             witness = find_rs_witness(t_tab, s_tab)
-            codim_one = intersect(sigma_T(t_tab), sigma_T(s_tab)).codim == 1
+            codim_one = intersect(t_sig, s_sig).codim == 1
             rec.equal(
                 codim_one,
                 witness is not None,
@@ -671,12 +708,13 @@ def _suite_experiments(rec: _Recorder, n_max: int) -> None:
         agreements = disagreements = 0
         examples = []
         for k in range(n // 2 + 1):
-            els = list(all_involutions(n, k))
-            for a, b in itertools.combinations(els, 2):
-                if dimension(a) != dimension(b):
+            els = all_involutions(n, k)
+            rows = [(e, dimension(e), descendants(e)) for e in els]
+            for (a, dim_a, down_a), (b, dim_b, down_b) in itertools.combinations(rows, 2):
+                if dim_a != dim_b:
                     continue
                 codim_one = intersect(a, b).codim == 1
-                shared = bool(descendants(a) & descendants(b))
+                shared = bool(down_a & down_b)
                 if codim_one == shared:
                     agreements += 1
                 else:
@@ -692,13 +730,14 @@ def _suite_experiments(rec: _Recorder, n_max: int) -> None:
             line += "; e.g. " + "; ".join(examples)
         rec.note(line)
     # codimension-one intersections of maximal orbits: irreducibility evidence
+    # sigmas[n, k]: each tableau with its image, shared with the last part
+    sigmas: dict[tuple[int, int], list[tuple[TwoColumnTableau, Involution]]] = {}
     for n in range(2, n_max + 1):
         total = irreducible_count = 0
         for k in range(n // 2 + 1):
-            tabs = list(enumerate_tableaux(n, k))
-            sigmas = {tab: sigma_T(tab) for tab in tabs}
-            for t_tab, s_tab in itertools.combinations(tabs, 2):
-                result = intersect(sigmas[t_tab], sigmas[s_tab])
+            sigmas[n, k] = [(tab, sigma_T(tab)) for tab in enumerate_tableaux(n, k)]
+            for (_, t_sig), (_, s_sig) in itertools.combinations(sigmas[n, k], 2):
+                result = intersect(t_sig, s_sig)
                 if result.codim != 1:
                     continue
                 total += 1
@@ -712,10 +751,9 @@ def _suite_experiments(rec: _Recorder, n_max: int) -> None:
     def shared_descendant_pairs() -> Iterator[tuple]:
         for n in range(6, n_max + 1):
             for k in range(3, n // 2 + 1):
-                tabs = list(enumerate_tableaux(n, k))
-                sigmas = {tab: sigma_T(tab) for tab in tabs}
-                for t_tab, s_tab in itertools.combinations(tabs, 2):
-                    if descendants(sigmas[t_tab]) & descendants(sigmas[s_tab]):
+                rows = [(tab, descendants(sig)) for tab, sig in sigmas[n, k]]
+                for (t_tab, t_down), (s_tab, s_down) in itertools.combinations(rows, 2):
+                    if t_down & s_down:
                         rec.checks += 1
                         yield n, k, t_tab, s_tab
 

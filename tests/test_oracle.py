@@ -1,6 +1,7 @@
 """The verification layer itself: counting oracles, brute covers, suites."""
 
 import ast
+import itertools
 from dataclasses import fields
 from pathlib import Path
 
@@ -252,6 +253,84 @@ def test_a_failure_from_the_positional_triple_scan_keeps_its_text(monkeypatch):
     e, c12, c13, c23 = Involution.identity(3), inv("(1,2)", 3), inv("(1,3)", 3), inv("(2,3)", 3)
     assert (broken.witness, broken.expected) == ("n=3", "[]")
     assert broken.got == str([(e, c13, c12), (e, c13, c23), (c12, c13, e), (c23, c13, e)])
+
+
+def _fewer_descendants(monkeypatch):
+    real = orbitposet.oracle.descendants
+    monkeypatch.setattr(orbitposet.oracle, "descendants", lambda e: set(sorted(real(e))[1:]))
+
+
+def test_the_reachability_table_sees_a_patched_descendants(monkeypatch):
+    _fewer_descendants(monkeypatch)
+    report = verify_suite("reachability", n_max=5)
+    assert report.checks_run == 43 and len(report.failures) == 32
+    assert report.failures[0].witness == "n=3 sigma=(1,2)"
+
+
+def test_the_ancestors_tables_see_a_patched_descendants(monkeypatch):
+    _fewer_descendants(monkeypatch)
+    report = verify_suite("ancestors", n_max=5)
+    assert report.checks_run == 111 and len(report.failures) == 17
+    assert str(report.failures[0]) == (
+        "codim one iff shared degeneration (maximal orbits) | witness n=3 a=(1,2) b=(2,3) | "
+        "expected False | got True"
+    )
+
+
+def test_the_delete_scan_sees_a_patched_delete_pair(monkeypatch):
+    real = orbitposet.oracle.delete_pair
+    monkeypatch.setattr(orbitposet.oracle, "delete_pair", lambda e, s: real(e, e.length + 1 - s))
+    report = verify_suite("delete", n_max=4)
+    assert report.checks_run == 16 and len(report.failures) == 6
+    assert report.failures[0].witness == "n=4 sigma=(1,2)(3,4) s=1"
+
+
+class _OtherCells:
+    """A rank matrix whose ``cells`` tuple is replaced; everything else is the real one's."""
+
+    def __init__(self, real, cells):
+        self._real, self.cells = real, cells
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
+@pytest.mark.parametrize("recell", [lambda c: c[:-1], lambda c: c + (0,)], ids=["short", "long"])
+def test_a_cells_tuple_of_the_wrong_length_fails_every_cell_check(monkeypatch, recell):
+    real = orbitposet.oracle.rank_matrix
+    monkeypatch.setattr(orbitposet.oracle, "rank_matrix", lambda e: _OtherCells(real(e), recell(real(e).cells)))
+    delete = verify_suite("delete", n_max=4)
+    assert delete.checks_run == 16 and len(delete.failures) == 16
+    window_law = [f for f in verify_suite("rank", n_max=4).failures if f.claim == "window law"]
+    # n = 2, 3, 4: 2 x 1 + 4 x 3 + 10 x 6 windows, each one check that fails
+    assert len(window_law) == 74
+    assert (window_law[0].witness, window_law[0].got) == ("n=2 sigma=id window=(1,2)", "None")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_step_matrices_are_the_brute_force_filter(n):
+    from orbitposet.oracle import _step_matrices
+
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+    def entry(values, i, j):
+        return values[cells.index((i, j))] if i < j else 0
+
+    def steps(values):
+        return all(
+            entry(values, i, j) - entry(values, i + 1, j) in (0, 1)
+            and entry(values, i, j) - entry(values, i, j - 1) in (0, 1)
+            for i, j in cells
+        )
+
+    brute = [values for values in itertools.product(range(n // 2 + 1), repeat=len(cells)) if steps(values)]
+    assert sorted(r.cells for r in _step_matrices(n)) == brute
+
+
+def test_step_matrix_counts_are_pinned():
+    from orbitposet.oracle import _step_matrices
+
+    assert [len(_step_matrices(n)) for n in range(1, 7)] == [1, 2, 5, 27, 160, 2120]
 
 
 def test_every_witness_is_a_lambda():
