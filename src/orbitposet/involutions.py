@@ -172,6 +172,22 @@ def dimension(inv: Involution) -> int:
     return k * inv.n - sum(b - a for a, b in inv.pairs) - sum(qs)
 
 
+def _deletion_drops(inv: Involution) -> list[int]:
+    """``dimension(inv) - dimension(delete_pair(inv, s))`` for each pair s, in
+    pair order, without building the shorter involutions.
+
+    Deleting pair s takes its own terms out of the :func:`dimension` formula
+    (``n``, ``j_s - i_s`` and ``q_s``) and its share of every other pair's
+    statistic: ``#{p : i_s < i_p and j_s < j_p} + #{p : j_s < i_p}``.  Both
+    counts are false at ``p = s``, so the scan need not skip it.
+    """
+    out: list[int] = []
+    for (i_s, j_s), q_s in zip(inv.pairs, q_values(inv)):
+        share = sum((i_s < i_p and j_s < j_p) + (j_s < i_p) for i_p, j_p in inv.pairs)
+        out.append(inv.n - (j_s - i_s) - q_s - share)
+    return out
+
+
 def project(inv: Involution, i: int, j: int) -> Involution:
     """Keep the pairs contained in ``[i, j]``; re-index the window to 1-based.
 

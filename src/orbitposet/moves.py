@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange
-from .involutions import Involution, Pair, _trusted, delete_pair, dimension
+from .involutions import Involution, Pair, _deletion_drops, _trusted, delete_pair
 
 KIND_MOVE_DOWN = "move_down"
 KIND_MOVE_UP = "move_up"
@@ -274,16 +274,15 @@ def cover_moves(inv: Involution) -> list[MoveOutcome]:
 
     The closure order is graded by orbit dimension, so an element covers
     exactly what lies one dimension below it.  The down-moves all do; a
-    single-pair deletion does when its dimension is exactly one below.
+    single-pair deletion does when its dimension is exactly one below, read
+    off ``_deletion_drops`` so that only the kept deletions are built.
     Same-length covers carry their move tag, shorter ones the ``delete``
     tag, deletions in pair order.
     """
     out = descendant_moves(inv)
-    level = dimension(inv) - 1
-    for s, pair in enumerate(inv.pairs, 1):
-        target = delete_pair(inv, s)
-        if dimension(target) == level:
-            out.append(MoveOutcome(KIND_DELETE, (pair,), target))
+    for s, (pair, drop) in enumerate(zip(inv.pairs, _deletion_drops(inv)), 1):
+        if drop == 1:
+            out.append(MoveOutcome(KIND_DELETE, (pair,), delete_pair(inv, s)))
     return out
 
 

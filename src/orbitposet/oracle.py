@@ -21,6 +21,11 @@ Each table's per-element library answers (rank matrices, descendants,
 tableau images, dimensions) are computed once and read by position, and
 every element a check is about still reaches the library function under
 test.
+
+Every walk over the order (cover chains, descendant reachability) is one
+pass over a linear extension of the all-pairs table, so no oracle function
+recurses, and a table that is not a partial order fails checks instead of
+raising.
 """
 
 from __future__ import annotations
@@ -492,35 +497,31 @@ def _suite_depth(rec: _Recorder, n_max: int) -> None:
     for n in range(1, n_max + 1):
         below = _strictly_below(all_involutions(n))
         covers = _covers(below)
+        # by down-set size: a strictly smaller element has a strictly smaller
+        # down-set, so every cover of x comes before x
+        order = sorted(below, key=lambda x: len(below[x]))
         # chains[target][x]: (shortest, longest) cover chain walked from x down to target
         chains: dict[Involution, dict[Involution, tuple[int, int]]] = {}
-
-        def walk(x: Involution, target: Involution) -> tuple[int, int]:
-            memo = chains.setdefault(target, {})
-            if x not in memo:
-                rest = [
-                    (0, 0) if c == target else walk(c, target)
-                    for c in covers[x]
-                    if c == target or target in below[c]
-                ]
-                memo[x] = (1 + min(lo for lo, _ in rest), 1 + max(hi for _, hi in rest))
-            return memo[x]
-
         for target in below:
+            walked = chains[target] = {target: (0, 0)}
+            for x in order:
+                if target in below[x]:
+                    rest = [walked[c] for c in covers[x] if c in walked]
+                    if rest:
+                        walked[x] = (1 + min(lo for lo, _ in rest), 1 + max(hi for _, hi in rest))
             for x, members in below.items():
-                if target not in members:
-                    continue
-                lo, hi = walk(x, target)
-                gap = dimension(x) - dimension(target)
-                claim = "all chains have length equal to the dimension gap"
-                rec.check(lo == hi == gap, claim, lambda: f"n={n} upper={x} lower={target}", gap, (lo, hi))
+                if target in members:
+                    gap, got = dimension(x) - dimension(target), walked.get(x)
+                    claim = "all chains have length equal to the dimension gap"
+                    rec.check(got == (gap, gap), claim, lambda: f"n={n} upper={x} lower={target}", gap, got)
         for x in all_involutions(n):
             for k in range(x.length + 1):
                 base = sigma_o(n, k)
                 if x == base:
                     rec.equal(0, depth(x, k), "depth of the minimal element", lambda: f"n={n} k={k}")
                 else:
-                    rec.equal(chains[base][x][0], depth(x, k), "depth equals walked chain length", lambda: f"n={n} sigma={x} k={k}")
+                    chain = chains[base].get(x, (None,))
+                    rec.equal(chain[0], depth(x, k), "depth equals walked chain length", lambda: f"n={n} sigma={x} k={k}")
 
 
 def _suite_closure(rec: _Recorder, n_max: int) -> None:
@@ -536,19 +537,14 @@ def _suite_reachability(rec: _Recorder, n_max: int) -> None:
     for n in range(1, n_max + 1):
         for k in range(n // 2 + 1):
             below = _strictly_below(all_involutions(n, k))
-            # one descendants call per element; a descendant outside the
-            # table already makes `reached` differ, so it is not walked on
-            steps = {e: descendants(e) for e in below}
+            # by down-set size, as in the depth walk, so a descendant below e
+            # is passed before e; one not passed yet, or outside the table,
+            # reaches only itself: it already makes `reached` differ
+            reached: dict[Involution, set[Involution]] = {}
+            for e in sorted(below, key=lambda x: len(below[x])):
+                reached[e] = {e}.union(*(reached.get(d, {d}) for d in descendants(e)))
             for e in below:
-                reached = {e}
-                frontier = [e]
-                while frontier:
-                    nxt = frontier.pop()
-                    for d in steps.get(nxt, ()):
-                        if d not in reached:
-                            reached.add(d)
-                            frontier.append(d)
-                rec.equal(below[e] | {e}, reached, "descendant steps reach the down-set", lambda: f"n={n} sigma={e}")
+                rec.equal(below[e] | {e}, reached[e], "descendant steps reach the down-set", lambda: f"n={n} sigma={e}")
 
 
 def _suite_codim(rec: _Recorder, n_max: int) -> None:

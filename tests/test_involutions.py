@@ -1,5 +1,6 @@
 """Core involution type and statistics, pinned against worked examples."""
 
+import random
 from itertools import islice
 
 import pytest
@@ -23,6 +24,7 @@ from orbitposet import (
     rank_matrix,
     sigma_o,
 )
+from orbitposet.involutions import _deletion_drops
 
 
 def inv(text, n):
@@ -188,6 +190,18 @@ def test_delete_pair():
         delete_pair(e, 4)
     with pytest.raises(IndexOutOfRange):
         delete_pair(e, 0)
+
+
+def test_deletion_drops_are_dimension_differences():
+    rng = random.Random(30)
+    pool = [e for n in range(1, 9) for e in all_involutions(n)]
+    for _ in range(300):
+        n = rng.randint(9, 40)
+        points = rng.sample(range(1, n + 1), 2 * rng.randint(0, n // 2))
+        pool.append(canonicalize(zip(points[::2], points[1::2]), n))
+    for e in pool:
+        expected = [dimension(e) - dimension(delete_pair(e, s)) for s in range(1, e.length + 1)]
+        assert _deletion_drops(e) == expected, e
 
 
 def test_delete_pair_rank_delta():

@@ -297,6 +297,21 @@ def test_cover_moves_are_descendants_then_deletions():
             assert slots == sorted(slots)
 
 
+def test_cover_moves_builds_only_the_kept_deletions(monkeypatch):
+    # each deletion's dimension drop is read off the pairs, so a deletion
+    # that is not a cover is never built
+    import orbitposet.moves
+
+    points = random.Random(400).sample(range(1, 401), 400)
+    e = canonicalize(zip(points[::2], points[1::2]), 400)
+    built = []
+    real = orbitposet.moves.delete_pair
+    monkeypatch.setattr(orbitposet.moves, "delete_pair", lambda x, s: built.append(s) or real(x, s))
+    kept = [m for m in cover_moves(e) if m.kind == "delete"]
+    assert built == [e.pairs.index(m.source[0]) + 1 for m in kept]
+    assert len(built) < e.length
+
+
 def test_move_targets_equal_their_checked_construction():
     # targets are built unchecked; each must be the value the validating constructor builds
     count = 0

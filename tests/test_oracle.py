@@ -267,6 +267,63 @@ def test_the_reachability_table_sees_a_patched_descendants(monkeypatch):
     assert report.failures[0].witness == "n=3 sigma=(1,2)"
 
 
+# orders that are not partial orders, with depth's (checks, failures) at n_max = 4
+_WRONG_ORDERS = {
+    "always": (lambda a, b: True, 137, 127),
+    "equal": (lambda a, b: a == b, 33, 25),
+    "total": (lambda a, b: sum(a.cells) <= sum(b.cells), 89, 75),
+    "close": (lambda a, b: abs(sum(a.cells) - sum(b.cells)) <= 1, 77, 63),
+}
+
+
+@pytest.mark.parametrize("wrong,checks,failures", _WRONG_ORDERS.values(), ids=_WRONG_ORDERS)
+def test_a_wrong_order_fails_checks_and_no_suite_raises(monkeypatch, wrong, checks, failures):
+    monkeypatch.setattr(orbitposet.oracle, "leq", wrong)
+    reports = {name: verify_suite(name, n_max=4) for name in suite_names()}
+    depth = reports["depth"]
+    assert not depth.passed
+    assert (depth.checks_run, len(depth.failures)) == (checks, failures)
+
+
+def test_the_cli_reports_a_wrong_order_without_a_traceback(monkeypatch, capsys):
+    from orbitposet.cli import main
+
+    monkeypatch.setattr(orbitposet.oracle, "leq", lambda a, b: True)
+    assert main(["verify", "--suite", "depth", "--n", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("suite depth: FAIL (137 checks, 127 failures") and err == ""
+
+
+def _depth_failures(monkeypatch, name, extra):
+    """Depth at n_max = 4 with ``extra(*args)`` added to the oracle's ``name``."""
+    real = getattr(orbitposet.oracle, name)
+    monkeypatch.setattr(orbitposet.oracle, name, lambda *args: real(*args) + extra(*args))
+    report = verify_suite("depth", n_max=4)
+    return report.checks_run, sorted(str(f) for f in report.failures)
+
+
+def test_the_chain_walk_sees_a_dimension_off_by_one(monkeypatch):
+    checks, failures = _depth_failures(monkeypatch, "dimension", lambda e: e.pairs[:1] == ((1, 2),))
+    text = "all chains have length equal to the dimension gap | witness n={} upper={} lower={} | expected {} | got ({}, {})"
+    gaps = [
+        (2, "(1,2)", "id", 2), (3, "(1,2)", "id", 3), (3, "(1,2)", "(1,3)", 2), (4, "(1,2)", "id", 4),
+        (4, "(1,2)(3,4)", "id", 5), (4, "(1,2)", "(1,3)", 2), (4, "(1,2)(3,4)", "(1,3)", 3),
+        (4, "(1,2)(3,4)", "(1,3)(2,4)", 2), (4, "(1,2)", "(1,4)", 3), (4, "(1,2)(3,4)", "(1,4)", 4),
+        (4, "(1,2)(3,4)", "(2,4)", 3), (4, "(1,2)(3,4)", "(3,4)", 2),
+    ]
+    assert checks == 71
+    assert failures == sorted(text.format(n, upper, lower, gap, gap - 1, gap - 1) for n, upper, lower, gap in gaps)
+
+
+def test_the_chain_walk_sees_a_depth_off_by_one(monkeypatch):
+    checks, failures = _depth_failures(monkeypatch, "depth", lambda x, k: k == 0 and x.length == 2)
+    assert checks == 71
+    assert failures == [
+        f"depth equals walked chain length | witness n=4 sigma={sigma} k=0 | expected {chain} | got {chain + 1}"
+        for sigma, chain in (("(1,2)(3,4)", 4), ("(1,3)(2,4)", 3), ("(1,4)(2,3)", 4))
+    ]
+
+
 def test_the_ancestors_tables_see_a_patched_descendants(monkeypatch):
     _fewer_descendants(monkeypatch)
     report = verify_suite("ancestors", n_max=5)
