@@ -3,7 +3,7 @@
 All-pairs scans grow quadratically in the involution count (764 elements at
 n=8 already), and single-pass scans stay cheap up to n=10.  ``intersect``
 answers comparable pairs and irreducible meets at every n, for what ``leq``
-and ``meet`` cost (11.5 ms for a pair of maximal orbits at n = 100), and
+and ``meet`` cost (0.8 ms for a pair of maximal orbits at n = 100), and
 guards only the search of a reducible meet: at n=14 with seven 2-cycles that
 search took 0.26-1.6 s on random pairs of maximal orbits (4 of 8 pairs
 needed it; shared 2-vCPU host, Python 3.11), so its guard stays at n=12.  A

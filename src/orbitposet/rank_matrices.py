@@ -3,11 +3,17 @@
 The entry ``(i, j)`` of the rank matrix counts the pairs contained in the
 window ``[i, j]``; everything on or below the diagonal is zero.  Matrices of
 equal rank are compared entrywise, and the entrywise order lifted back to
-involutions is the orbit-closure order.  A matrix is the rank matrix of an
-involution exactly when its second differences are all 0 or 1 and its unit
-cells share no point; those cells are the pairs, so recognising a rank
-matrix and recovering its involution are one pass (``_involution_of``),
+involutions is the orbit-closure order.  Row ``a`` minus row ``a + 1``,
+``D_a(b) = r(a, b) - r(a + 1, b)``, counts the pairs ``(a, b')`` with
+``b' <= b``.  So a matrix is the rank matrix of an involution exactly when
+every nonzero row difference is a run of ones to the end of its row, and the
+pairs ``(a, b)``, with ``b`` the first column of row ``a``'s run, share no
+point.  Those are then its pairs, so recognising a rank matrix and
+recovering its involution are one pass over the rows (``_involution_of``),
 which ``is_valid``, ``from_rank_matrix`` and ``poset.intersect`` all read.
+Read the other way, row ``a`` is row ``a + 1`` moved one cell right plus the
+run of the pair ``(a, b)``, and ``rank_matrix`` builds it so from the bottom
+row up.  Both touch each row once, so either costs O(n^2) bytes.
 
 A matrix is stored once, as its strict upper triangle packed into one
 integer: cell ``o`` (rows top to bottom, each holding columns ``i+1..n``)
@@ -19,9 +25,9 @@ every matrix of rank ``n`` has the one layout.  Cells then add and compare all
 at once: ``a <= b`` in every cell exactly when ``((b | G) - a) & G == G``,
 with ``G`` the guard bits, because no cell's difference borrows past its own
 guard.  The packed rank matrix of the single pair ``(a, b)`` is the mask of
-the windows that hold it, so the rank matrix of an involution is the sum of
-its pairs' masks, the search for everything below a bound adds one mask
-per pair, and ``meet`` and the filter for the maximal nodes of that search
+the windows that hold it; the search for everything below a bound adds one
+mask per pair, and those masks (``_pair_masks``) are built only there.
+``meet`` and the filter for the maximal nodes of that search
 (``_maximal_below``) work on the packed ints too.  No other module knows
 this layout.
 
@@ -70,6 +76,12 @@ def _guard(n: int) -> int:
     return int.from_bytes(top_bit * _tri_len(n), "little")
 
 
+@lru_cache(maxsize=16)
+def _ones(n: int) -> int:
+    """One in each of ``n`` cells at rank ``n``: shifted down, a row's run of ones."""
+    return int.from_bytes((1).to_bytes(_width(n), "little") * n, "little")
+
+
 def _pack(n: int, cells: tuple[int, ...]) -> int:
     """``cells`` in ``0..n // 2`` packed at ``_width(n)``."""
     width = _width(n)
@@ -111,7 +123,8 @@ def _pair_masks(n: int) -> tuple[_MaskRow | None, ...]:
     """``_pair_masks(n)[a][b]``: packed windows holding the pair ``(a, b)``.
 
     Masks are built on first use, so the cost follows the pairs callers ask
-    about rather than the O(n^4) cells of a full table.
+    about rather than the O(n^4) cells of a full table.  Only the search
+    below a bound reads them; ``rank_matrix`` and ``_involution_of`` never do.
     """
     return (None, *(_MaskRow(n, a) for a in range(1, n + 1)))
 
@@ -202,44 +215,69 @@ class RankMatrix:
         return "\n".join(" ".join(str(v).rjust(width) for v in row) for row in rows)
 
 
-def _grid(r: RankMatrix) -> list[list[int]]:
-    """``to_rows`` framed by zeros: ``g[i][j] == r.entry(i, j)`` for 0 <= i, j <= n + 1."""
-    pad = [0] * (r.n + 2)
-    return [pad, *([0, *row, 0] for row in r.to_rows()), pad]
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def rank_matrix(inv: Involution) -> RankMatrix:
-    """Matrix whose (i,j) entry counts the pairs of ``inv`` inside [i, j]: the sum of their masks."""
-    masks = _pair_masks(inv.n)
-    return RankMatrix._from_packed(inv.n, sum(masks[a][b] for a, b in inv.pairs))
+    """Matrix whose (i,j) entry counts the pairs of ``inv`` inside [i, j].
+
+    Built from the bottom row up: row ``i`` is row ``i + 1`` moved one cell
+    right (``r(i + 1, i + 1)`` is 0), plus a one in every column from ``b``
+    on when ``i`` opens the pair ``(i, b)``.  Each row is written to bytes
+    once and the rows are joined once, so the cost is O(n^2) bytes.
+    """
+    n, width = inv.n, _width(inv.n)
+    cell = 8 * width
+    partner = [0] * (n + 1)
+    for a, b in inv.pairs:
+        partner[a] = b
+    ones = _ones(n)
+    row, chunks = 0, []
+    for i in range(n - 1, 0, -1):  # row i holds columns i+1..n
+        row <<= cell
+        if partner[i]:
+            skip = cell * (partner[i] - i - 1)
+            row += (ones >> cell * i) >> skip << skip
+        chunks.append(row.to_bytes((n - i) * width, "little"))
+    chunks.reverse()
+    return RankMatrix._from_packed(n, int.from_bytes(b"".join(chunks), "little"))
 
 
 def _involution_of(r: RankMatrix) -> Involution | None:
     """The involution whose rank matrix is ``r``, or None if there is none.
 
-    Reads the second differences
-    ``d(a, b) = r(a,b) - r(a+1,b) - r(a,b-1) + r(a+1,b-1)`` off the framed
-    grid.  They telescope, ``r(i, j)`` being the sum of ``d(a, b)`` over
-    ``i <= a < b <= j``, and a single pair's matrix has one unit difference
-    at that pair; so ``r`` is the rank matrix of an involution exactly when
-    every ``d`` is 0 or 1 and no two unit cells share a point.  The unit
-    cells are then its pairs, found in canonical order.
+    Reads the row differences ``D_a(b) = r(a, b) - r(a + 1, b)``, the pairs
+    ``(a, b')`` with ``b' <= b``.  ``D_a`` is row ``a`` minus row ``a + 1``
+    moved one cell right, one integer subtraction.  So ``r`` is the rank
+    matrix of an involution exactly when every nonzero ``D_a`` is a run of
+    ones from one cell ``t`` to the end of the row and no point is used
+    twice; the pairs are then the ``(a, a + 1 + t)``, found in canonical
+    order.  Comparing the difference with the run of ones is exact: each
+    cell of row ``a + 1`` plus one stays below its guard bit, so no carry
+    can hide a wrong cell.
     """
-    n = r.n
-    g = _grid(r)
-    used = [False] * (n + 1)
+    n, width = r.n, _width(r.n)
+    cell = 8 * width
+    raw = r.packed.to_bytes(_tri_len(n) * width, "little")
+    ones = _ones(n)
+    used = 0  # bit x for each point x already in a pair
     pairs: list[Pair] = []
-    for a in range(1, n + 1):
-        row, below = g[a], g[a + 1]
-        for b in range(a + 1, n + 1):
-            d = row[b] - below[b] - row[b - 1] + below[b - 1]
-            if d == 0:
-                continue
-            if d != 1 or used[a] or used[b]:
-                return None
-            used[a] = used[b] = True
-            pairs.append((a, b))
+    end = (n - 1) * width  # row 1 holds columns 2..n
+    row = int.from_bytes(raw[:end], "little")
+    for a in range(1, n):
+        start, end = end, end + (n - a - 1) * width
+        below = int.from_bytes(raw[start:end], "little")
+        diff = row - (below << cell)
+        row = below
+        if not diff:
+            continue
+        skip = ((diff & -diff).bit_length() - 1) // cell * cell
+        if diff != (ones >> cell * a) >> skip << skip:
+            return None
+        b = a + 1 + skip // cell
+        ends = 1 << a | 1 << b
+        if used & ends:
+            return None
+        used |= ends
+        pairs.append((a, b))
     return _trusted(n, tuple(pairs))
 
 

@@ -296,6 +296,11 @@ def test_unchecked_involutions_are_laid_out_like_checked_ones():
     from orbitposet.involutions import _trusted
 
     pairs = ((1, 4), (2, 3))
+    # one untraced batch of each first: in a fresh process the first few
+    # hundred traced calls are charged extra bytes that fade with use, so
+    # without it the sizes depend on what ran before
+    for make in (_trusted, Involution):
+        assert len([make(5, pairs) for _ in range(1000)]) == 1000
     sizes = []
     for make in (_trusted, Involution):
         tracemalloc.start()

@@ -27,6 +27,7 @@ from orbitposet import (
     rank_matrix,
 )
 from orbitposet.limits import CACHE_SIZE
+from orbitposet.rank_matrices import _involution_of, _pair_masks
 
 # the reducible n=5 example: both matrices appear displayed in full
 R_A_ROWS = [
@@ -306,7 +307,7 @@ def _random_involution(draw, n, k):
 
 
 def test_rank_matrix_is_the_window_count():
-    # the mask sum against the literal definition, across the one-to-two-byte step
+    # the row-by-row build against the literal definition, across the one-to-two-byte step
     draw = random.Random("mask-sum")
     for n, k_top in [*((n, n // 2) for n in range(1, 31) for _ in range(5)), (253, 6), (254, 6)]:
         e = _random_involution(draw, n, draw.randint(0, k_top))
@@ -344,7 +345,108 @@ def test_a_cached_rank_matrix_takes_under_a_kilobyte():
     assert used / len(invs) <= 1024, used / len(invs)
 
 
-LAYOUT_NAMES = {"_tri_len", "_offset", "_width", "_guard", "_pack", "_unpack", "_MaskRow", "_pair_masks"}
+def _reference_involution_of(r):
+    """Recovery by second differences on a dense grid: the reference for ``_involution_of``.
+
+    ``d(a, b) = r(a,b) - r(a+1,b) - r(a,b-1) + r(a+1,b-1)`` on the matrix
+    framed by zeros; ``r`` is a rank matrix exactly when every ``d`` is 0 or
+    1 and no two unit cells share a point, and the unit cells are the pairs.
+    """
+    n = r.n
+    pad = [0] * (n + 2)
+    g = [pad, *([0, *row, 0] for row in r.to_rows()), pad]
+    used = [False] * (n + 1)
+    pairs = []
+    for a in range(1, n + 1):
+        row, below = g[a], g[a + 1]
+        for b in range(a + 1, n + 1):
+            d = row[b] - below[b] - row[b - 1] + below[b - 1]
+            if d == 0:
+                continue
+            if d != 1 or used[a] or used[b]:
+                return None
+            used[a] = used[b] = True
+            pairs.append((a, b))
+    return Involution(n, tuple(pairs))
+
+
+def _near_image(draw, n):
+    """An image with one cell moved by one, kept in ``0..n // 2``: mostly not an image."""
+    cells = list(rank_matrix(_random_involution(draw, n, draw.randint(0, n // 2))).cells)
+    if cells:
+        o = draw.randrange(len(cells))
+        cells[o] = min(n // 2, max(0, cells[o] + draw.choice((-1, 1))))
+    return RankMatrix(n, tuple(cells))
+
+
+def test_involution_of_matches_the_second_differences():
+    from orbitposet.oracle import _step_matrices
+
+    for n in range(1, 7):
+        for r in _step_matrices(n):
+            assert _involution_of(r) == _reference_involution_of(r), r
+    draw = random.Random("row-recovery")
+    for _ in range(1500):
+        n = draw.randint(1, 16)
+        top = min(draw.choice((1, 2, n // 2)), n // 2)
+        noise = RankMatrix(n, tuple(draw.randint(0, top) for _ in range(n * (n - 1) // 2)))
+        for r in (noise, _near_image(draw, n)):
+            assert _involution_of(r) == _reference_involution_of(r), r
+    for _ in range(1500):
+        n = draw.randint(2, 40)
+        a, b = (_random_involution(draw, n, draw.randint(0, n // 2)) for _ in "ab")
+        r = meet(rank_matrix(a), rank_matrix(b))
+        assert _involution_of(r) == _reference_involution_of(r), (a, b)
+    for n in (253, 254, 600):
+        e = _random_involution(draw, n, n // 2)
+        assert _involution_of(rank_matrix(e)) == _reference_involution_of(rank_matrix(e)) == e
+
+
+def test_rank_matrix_is_the_mask_sum():
+    # the row-by-row build against the sum of its pairs' window masks; masks
+    # of up to n^2 cells each, so few pairs at large n
+    draw = random.Random("row-build")
+    try:
+        for n in range(1, 10):
+            masks = _pair_masks(n)
+            for e in all_involutions(n):
+                assert rank_matrix(e).packed == sum(masks[a][b] for a, b in e.pairs), e
+        sizes = [*((n, n // 2) for n in range(10, 60)), (100, 50), (253, 20), (254, 20), (700, 6), (2000, 3)]
+        for n, k_top in sizes:
+            e = _random_involution(draw, n, draw.randint(0, k_top))
+            masks = _pair_masks(n)
+            assert rank_matrix(e).packed == sum(masks[a][b] for a, b in e.pairs), e
+    finally:
+        _pair_masks.cache_clear()
+    # and every pair at n = 2 000, at sampled windows against the literal count
+    e = _random_involution(draw, 2000, 1000)
+    r = rank_matrix(e)
+    for _ in range(300):
+        i, j = sorted(draw.sample(range(1, 2001), 2))
+        assert r.entry(i, j) == sum(1 for a, b in e.pairs if i <= a and b <= j), (i, j)
+    assert _involution_of(r) == e
+
+
+def test_leq_at_n_1600_builds_no_masks():
+    # O(n^2) bytes: two 2.6 MB matrices, no per-pair masks of up to n^2 cells
+    draw = random.Random("leq-memory")
+    a, b = (_random_involution(draw, 1600, 800) for _ in "ab")
+    _pair_masks.cache_clear()
+    rank_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        leq(rank_matrix(a), rank_matrix(b))
+        recovered = _involution_of(rank_matrix(a))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        rank_matrix.cache_clear()
+    assert _pair_masks.cache_info().currsize == 0
+    assert peak < 32 * 2**20, peak
+    assert recovered == a
+
+
+LAYOUT_NAMES = {"_tri_len", "_offset", "_width", "_guard", "_ones", "_pack", "_unpack", "_MaskRow", "_pair_masks"}
 
 
 def test_only_rank_matrices_knows_the_packed_layout():
