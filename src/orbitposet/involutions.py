@@ -191,28 +191,31 @@ def _deletion_drops(inv: Involution) -> list[int]:
 def project(inv: Involution, i: int, j: int) -> Involution:
     """Keep the pairs contained in ``[i, j]``; re-index the window to 1-based.
 
-    The number of kept pairs equals the rank-matrix entry ``(i, j)``.
+    The number of kept pairs equals the rank-matrix entry ``(i, j)``.  One
+    shift keeps canonical pairs canonical, so the result is built unchecked.
     """
     if not 1 <= i < j <= inv.n:
         raise BadWindow(f"window ({i},{j}) must satisfy 1 <= i < j <= {inv.n}")
     shifted = tuple(
         (a - i + 1, b - i + 1) for a, b in inv.pairs if i <= a and b <= j
     )
-    return Involution(j - i + 1, shifted)
+    return _trusted(j - i + 1, shifted)
 
 
 def delete_pair(inv: Involution, s: int) -> Involution:
-    """Remove the s-th pair (1-based, canonical order)."""
+    """Remove the s-th pair (1-based, canonical order); the rest stay canonical."""
     if not 1 <= s <= inv.length:
         raise IndexOutOfRange(f"pair index {s} outside 1..{inv.length}")
-    return Involution(inv.n, inv.pairs[: s - 1] + inv.pairs[s:])
+    return _trusted(inv.n, inv.pairs[: s - 1] + inv.pairs[s:])
 
 
 def sigma_o(n: int, k: int) -> Involution:
     """The minimal involution with k pairs: (1,n-k+1)(2,n-k+2)...(k,n)."""
     if not 0 <= k <= n // 2:
         raise BadRank(f"k={k} outside 0..{n // 2} for n={n}")
-    return Involution(n, tuple((s, n - k + s) for s in range(1, k + 1)))
+    if n < 1:  # only n = 0, k = 0 passes the test above
+        raise OutOfRange(f"ambient rank must be >= 1, got {n}")
+    return _trusted(n, tuple((s, n - k + s) for s in range(1, k + 1)))
 
 
 def enumerate_involutions(n: int, k: int | None = None) -> Iterator[Involution]:

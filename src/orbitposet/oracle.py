@@ -20,7 +20,9 @@ all of them, format nothing.
 Each table's per-element library answers (rank matrices, descendants,
 tableau images, dimensions) are computed once and read by position, and
 every element a check is about still reaches the library function under
-test.
+test.  An order table holds one int per element: its down-set by all-pairs
+``leq`` as position bits.  It is built per suite call, so a patched ``leq``
+cannot leave it stale, and covers and the order axioms are bit operations.
 
 Every walk over the order (cover chains, descendant reachability) is one
 pass over a linear extension of the all-pairs table, so no oracle function
@@ -34,7 +36,9 @@ import itertools
 import random
 import time
 from dataclasses import asdict, dataclass
+from functools import reduce
 from math import factorial
+from operator import or_
 from typing import Callable, Iterator
 
 from .errors import UnknownSuite
@@ -187,38 +191,35 @@ class _Recorder:
 # All-pairs ground truth
 # ---------------------------------------------------------------------------
 
-def _strictly_below(
-    els: tuple[Involution, ...]
-) -> dict[Involution, frozenset[Involution]]:
-    """What lies strictly below each element of ``els``, by all-pairs ``leq``.
-
-    ``els`` holds distinct elements, so "not x itself" is a test on the
-    position, and the scan reads each matrix from a list by index.
+def _strictly_below(els: tuple[Involution, ...]) -> list[int]:
+    """What lies strictly below each element of ``els``, by all-pairs ``leq``:
+    bit j of entry i is set when ``els[j] < els[i]``.  ``els`` holds distinct
+    elements, so "not x itself" is a test on the position.
     """
     mats = [rank_matrix(e) for e in els]
-    return {
-        x: frozenset(els[j] for j, m in enumerate(mats) if j != i and leq(m, mats[i]))
-        for i, x in enumerate(els)
-    }
+    return [sum(1 << j for j, m in enumerate(mats) if j != i and leq(m, top)) for i, top in enumerate(mats)]
 
 
-def _covers(
-    below: dict[Involution, frozenset[Involution]]
-) -> dict[Involution, set[Involution]]:
-    """Covers read off a down-closed table: what lies below x and below
-    nothing else that lies below x."""
-    return {
-        x: set(members).difference(*(below[z] for z in members))
-        for x, members in below.items()
-    }
+def _positions(bits: int) -> list[int]:
+    """The set bits of ``bits``, lowest first."""
+    return [j for j, digit in enumerate(reversed(bin(bits))) if digit == "1"]
 
 
-def brute_covers(
-    n: int, max_n: int | None = None
-) -> dict[Involution, set[Involution]]:
+def _members(els: tuple[Involution, ...], bits: int) -> set[Involution]:
+    return {els[j] for j in _positions(bits)}
+
+
+def _covers(below: list[int]) -> list[int]:
+    """Covers read off a down-closed table of position bitsets: what lies
+    below x and below nothing else that lies below x."""
+    return [down & ~reduce(or_, [below[j] for j in _positions(down)], 0) for down in below]
+
+
+def brute_covers(n: int, max_n: int | None = None) -> dict[Involution, set[Involution]]:
     """Cover relation computed the slow way: all-pairs order comparisons only."""
     check_guard(n, ALL_PAIRS_MAX_N, max_n)
-    return _covers(_strictly_below(all_involutions(n)))
+    els = all_involutions(n)
+    return {x: _members(els, c) for x, c in zip(els, _covers(_strictly_below(els)))}
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +342,10 @@ def _step_matrices(n: int) -> list[RankMatrix]:
 def _suite_order(rec: _Recorder, n_max: int) -> None:
     """Partial-order axioms and the literal triangle criterion.
 
-    The quadratic and cubic axiom scans stay capped (n <= 6 and n <= 5) so a
-    raised range does not blow up; reflexivity follows the requested range.
+    The axiom scans read one table, ``up[a]`` with bit b set when
+    ``leq(a, b)``: antisymmetry and transitivity are bit operations on it.
+    They stay capped (n <= 6 and n <= 5) so a raised range does not blow up;
+    reflexivity follows the requested range.
     """
     for n in range(1, n_max + 1):
         els = list(all_involutions(n))
@@ -351,21 +354,12 @@ def _suite_order(rec: _Recorder, n_max: int) -> None:
             rec.holds(leq(m, m), "reflexive", lambda: f"n={n} sigma={e}")
         pos = range(len(els))
         if n <= 6:
-            two_way = [
-                (els[a], els[b]) for a, b in itertools.permutations(pos, 2)
-                if leq(mats[a], mats[b]) and leq(mats[b], mats[a])
-            ]
+            up = [sum(1 << b for b, top in enumerate(mats) if leq(m, top)) for m in mats]
+            two_way = [(els[a], els[b]) for a in pos for b in _positions(up[a] & ~(1 << a)) if up[b] >> a & 1]
             rec.equal([], two_way, "antisymmetric", lambda: f"n={n}")
         if n <= 5:
-            # nested, so leq(a, b) is asked once per pair, not once per c
-            broken = [
-                (els[a], els[b], els[c])
-                for a in pos
-                for b in pos
-                if leq(mats[a], mats[b])
-                for c in pos
-                if leq(mats[b], mats[c]) and not leq(mats[a], mats[c])
-            ]
+            # a <= b <= c with not a <= c: c is above b and not above a
+            broken = [(els[a], els[b], els[c]) for a in pos for b in _positions(up[a]) for c in _positions(up[b] & ~up[a])]
             rec.equal([], broken, "transitive", lambda: f"n={n}")
     for n in range(1, min(n_max, 5) + 1):
         short = [e for e in all_involutions(n) if e.length <= 2]
@@ -471,80 +465,86 @@ def _suite_descendants(rec: _Recorder, n_max: int) -> None:
     """Move-generated descendants equal both order-theoretic descriptions."""
     for n in range(1, n_max + 1):
         for k in range(n // 2 + 1):
-            below = _strictly_below(all_involutions(n, k))
-            covers = _covers(below)
-            for e, members in below.items():
-                drop = dimension(e) - 1
-                by_dim = {x for x in members if dimension(x) == drop}
+            els = all_involutions(n, k)
+            below = _strictly_below(els)
+            dims = [dimension(e) for e in els]
+            for e, drop, down, lower in zip(els, dims, below, _covers(below)):
+                by_dim = {els[j] for j in _positions(down) if dims[j] == drop - 1}
                 moved = descendants(e)
-                rec.equal(covers[e], moved, "descendants are the same-length covers", lambda: f"n={n} sigma={e}")
+                rec.equal(_members(els, lower), moved, "descendants are the same-length covers", lambda: f"n={n} sigma={e}")
                 rec.equal(by_dim, moved, "descendants are the dimension-drop-one set", lambda: f"n={n} sigma={e}")
 
 
 def _suite_cover(rec: _Recorder, n_max: int) -> None:
     """The graded cover equals the all-pairs cover; covers drop one level."""
     for n in range(1, n_max + 1):
-        truth = _covers(_strictly_below(all_involutions(n)))
-        for e in all_involutions(n):
-            rec.equal(truth[e], cover(e), "cover matches all-pairs scan", lambda: f"n={n} sigma={e}")
-            for lower in truth[e]:
-                rec.equal(1, dimension(e) - dimension(lower), "covers drop dimension by one", lambda: f"n={n} sigma={e} lower={lower}")
+        els = all_involutions(n)
+        dims = [dimension(e) for e in els]
+        for e, dim, truth in zip(els, dims, _covers(_strictly_below(els))):
+            rec.equal(_members(els, truth), cover(e), "cover matches all-pairs scan", lambda: f"n={n} sigma={e}")
+            for j in _positions(truth):
+                rec.equal(1, dim - dims[j], "covers drop dimension by one", lambda: f"n={n} sigma={e} lower={els[j]}")
 
 
 def _suite_depth(rec: _Recorder, n_max: int) -> None:
     """All cover chains between comparable elements have the same walked
     length, and it equals the dimension difference."""
     for n in range(1, n_max + 1):
-        below = _strictly_below(all_involutions(n))
-        covers = _covers(below)
+        els = all_involutions(n)
+        below = _strictly_below(els)
+        covers = [_positions(c) for c in _covers(below)]
+        dims = [dimension(e) for e in els]
+        pos = range(len(els))
         # by down-set size: a strictly smaller element has a strictly smaller
         # down-set, so every cover of x comes before x
-        order = sorted(below, key=lambda x: len(below[x]))
+        order = sorted(pos, key=lambda x: below[x].bit_count())
         # chains[target][x]: (shortest, longest) cover chain walked from x down to target
-        chains: dict[Involution, dict[Involution, tuple[int, int]]] = {}
-        for target in below:
-            walked = chains[target] = {target: (0, 0)}
+        chains: list[dict[int, tuple[int, int]]] = []
+        for target in pos:
+            chains.append(walked := {target: (0, 0)})
             for x in order:
-                if target in below[x]:
+                if below[x] >> target & 1:
                     rest = [walked[c] for c in covers[x] if c in walked]
                     if rest:
                         walked[x] = (1 + min(lo for lo, _ in rest), 1 + max(hi for _, hi in rest))
-            for x, members in below.items():
-                if target in members:
-                    gap, got = dimension(x) - dimension(target), walked.get(x)
+            for x in pos:
+                if below[x] >> target & 1:
+                    gap, got = dims[x] - dims[target], walked.get(x)
                     claim = "all chains have length equal to the dimension gap"
-                    rec.check(got == (gap, gap), claim, lambda: f"n={n} upper={x} lower={target}", gap, got)
-        for x in all_involutions(n):
+                    rec.check(got == (gap, gap), claim, lambda: f"n={n} upper={els[x]} lower={els[target]}", gap, got)
+        bases = [els.index(sigma_o(n, k)) for k in range(n // 2 + 1)]
+        for i, x in enumerate(els):
             for k in range(x.length + 1):
-                base = sigma_o(n, k)
-                if x == base:
+                if i == bases[k]:
                     rec.equal(0, depth(x, k), "depth of the minimal element", lambda: f"n={n} k={k}")
                 else:
-                    chain = chains[base].get(x, (None,))
+                    chain = chains[bases[k]].get(i, (None,))
                     rec.equal(chain[0], depth(x, k), "depth equals walked chain length", lambda: f"n={n} sigma={x} k={k}")
 
 
 def _suite_closure(rec: _Recorder, n_max: int) -> None:
     """The rank-bounded search behind ``closure`` equals the enumeration filter."""
     for n in range(1, n_max + 1):
-        below = _strictly_below(all_involutions(n))
-        for e in all_involutions(n):
-            rec.equal(below[e] | {e}, closure(e), "closure by rank-bounded search equals filter", lambda: f"n={n} sigma={e}")
+        els = all_involutions(n)
+        for i, (e, down) in enumerate(zip(els, _strictly_below(els))):
+            rec.equal(_members(els, down | 1 << i), closure(e), "closure by rank-bounded search equals filter", lambda: f"n={n} sigma={e}")
 
 
 def _suite_reachability(rec: _Recorder, n_max: int) -> None:
     """Repeated one-level degenerations reach the whole same-length down-set."""
     for n in range(1, n_max + 1):
         for k in range(n // 2 + 1):
-            below = _strictly_below(all_involutions(n, k))
+            els = all_involutions(n, k)
+            below = _strictly_below(els)
             # by down-set size, as in the depth walk, so a descendant below e
             # is passed before e; one not passed yet, or outside the table,
             # reaches only itself: it already makes `reached` differ
             reached: dict[Involution, set[Involution]] = {}
-            for e in sorted(below, key=lambda x: len(below[x])):
+            for i in sorted(range(len(els)), key=lambda x: below[x].bit_count()):
+                e = els[i]
                 reached[e] = {e}.union(*(reached.get(d, {d}) for d in descendants(e)))
-            for e in below:
-                rec.equal(below[e] | {e}, reached[e], "descendant steps reach the down-set", lambda: f"n={n} sigma={e}")
+            for i, (e, down) in enumerate(zip(els, below)):
+                rec.equal(_members(els, down | 1 << i), reached[e], "descendant steps reach the down-set", lambda: f"n={n} sigma={e}")
 
 
 def _suite_codim(rec: _Recorder, n_max: int) -> None:

@@ -36,14 +36,17 @@ recursion, so a node is not passed up through its ancestors' frames.  Its
 state is the pairs, the packed counts and the free points as the bits of
 one int, from which pairs are chosen by bit operations.  Only a child that
 fits is pushed, and each is yielded later, so the stack never holds more
-than the rest of the output.
+than the rest of the output.  The nodes come in preorder, so
+``_maximal_below`` reads the leaves off the walk, tests only those for
+saturation, filters the saturated ones as packed ints in descending order
+and reads the few it keeps back with ``_involution_of``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator
 
 from .errors import InvalidRankMatrix, OutOfRange, SizeMismatch
@@ -68,9 +71,13 @@ def _width(n: int) -> int:
     return ((n // 2 + 1).bit_length() + 8) // 8
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=4)
 def _guard(n: int) -> int:
-    """The top bit of every cell at rank ``n``."""
+    """The top bit of every cell at rank ``n``.
+
+    As large as a whole packed matrix, so only four ranks are kept, as in
+    :func:`_pair_masks`: a suite or a query walks at most a few at a time.
+    """
     width = _width(n)
     top_bit = (0x80 << 8 * (width - 1)).to_bytes(width, "little")
     return int.from_bytes(top_bit * _tri_len(n), "little")
@@ -397,26 +404,44 @@ def _maximal_below(bound: RankMatrix) -> list[tuple[Pair, ...]]:
     which no free pair can be added within the bound.  Adding a pair raises
     the rank matrix, so an unsaturated node lies strictly below another node
     and is not maximal; and as every node lies below a maximal one, the
-    maximal saturated nodes are the maximal nodes.  By the fit rule of
+    maximal saturated nodes are the maximal nodes.  A saturated node has no
+    child, and the search yields a preorder, where a node's first child comes
+    right after it: so a node is a leaf exactly when the next node has no
+    more pairs than it does, and only leaves are tested.  By the fit rule of
     :func:`_below_bound`, the pair of the first and the last free point is
     the weakest free pair, and one fit test on it, read off the free bits
-    the search yields, decides saturation.  The saturated nodes are then
-    filtered as packed ints with the guard-bit test: a candidate below a
-    kept node is dropped, otherwise it replaces the kept nodes below it.
-    The order of the result is not promised.
+    the search yields, decides saturation.
+
+    The saturated leaves are held as packed ints only and sorted in
+    descending order.  Cells never overlap, so entrywise ``<=`` implies
+    ``<=`` as integers, and no candidate lies above an earlier one: a
+    candidate is kept when it lies below no kept node (the guard-bit test),
+    and the kept list never shrinks.  The few kept matrices are then read
+    back as involutions by :func:`_involution_of`.  The order of the result
+    is not promised.
     """
     n = bound.n
     masks = _pair_masks(n)
     guard = _guard(n)
     cap = bound.packed | guard
-    kept: list[tuple[tuple[Pair, ...], int]] = []
-    for pairs, counts, free in _below_bound(bound):
-        if free & (free - 1):  # two free points or more
-            first, last = (free & -free).bit_length() - 1, free.bit_length() - 1
-            if (cap - counts - masks[first][last]) & guard == guard:
-                continue
-        if any(((top | guard) - counts) & guard == guard for _, top in kept):
-            continue
-        kept = [(p, top) for p, top in kept if ((counts | guard) - top) & guard != guard]
-        kept.append((pairs, counts))
-    return [pairs for pairs, _ in kept]
+    saturated: list[int] = []
+    depth, counts, free = -1, 0, 0  # the node before, yet to be tested
+    # a root-level sentinel ends the last node, which is always a leaf
+    for pairs, next_counts, next_free in chain(_below_bound(bound), (((), 0, 0),)):
+        if len(pairs) <= depth:  # the node before has no child, so it is a leaf
+            if not free & (free - 1):  # fewer than two free points
+                saturated.append(counts)
+            else:
+                first, last = (free & -free).bit_length() - 1, free.bit_length() - 1
+                if (cap - counts - masks[first][last]) & guard != guard:
+                    saturated.append(counts)
+        depth, counts, free = len(pairs), next_counts, next_free
+    saturated.sort(reverse=True)
+    kept: list[int] = []
+    for counts in saturated:
+        for top in kept:
+            if ((top | guard) - counts) & guard == guard:
+                break  # below a kept node
+        else:
+            kept.append(counts)
+    return [_involution_of(RankMatrix._from_packed(n, top)).pairs for top in kept]

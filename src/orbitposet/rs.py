@@ -4,6 +4,9 @@
 standard Young tableaux; ``rs_word`` inverts it.  A two-column tableau with
 column lengths ``(n-k, k)`` is itself a standard tableau whose rows are the
 tableau's rows, so the conversion between the two views is direct.
+Insertion makes both tableaux standard by construction, so ``rs_pair``
+builds them unchecked, with one attribute set per tableau (``_standard``),
+and ``rs_word`` reads the shape of each argument once.
 
 ``find_rs_witness(T, S)`` searches for a tableau P and an index m such that
 the words of (T, P) and (S, P) differ by swapping the values m and m+1; for
@@ -36,7 +39,6 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotAPermutation, ShapeMismatch
-from .involutions import _unchecked
 from .limits import RS_WITNESS_MAX_CANDIDATES, check_guard
 from .tableaux import TwoColumnTableau, _first_column, _second_columns
 
@@ -100,10 +102,15 @@ def rs_pair(word: tuple[int, ...] | list[int]) -> tuple[StandardTableau, Standar
             row[pos], x = x, row[pos]
             r += 1
     # both are standard by construction
-    return (
-        _unchecked(StandardTableau, rows=tuple(map(tuple, p_rows))),
-        _unchecked(StandardTableau, rows=tuple(map(tuple, q_rows))),
-    )
+    return _standard(tuple(map(tuple, p_rows))), _standard(tuple(map(tuple, q_rows)))
+
+
+def _standard(rows: tuple[tuple[int, ...], ...]) -> StandardTableau:
+    """``_unchecked(StandardTableau, rows=rows)`` for standard rows, unrolled
+    as :func:`.involutions._trusted` is: one call per tableau, no keyword loop."""
+    tab = object.__new__(StandardTableau)
+    object.__setattr__(tab, "rows", rows)
+    return tab
 
 
 def _row_index(rows: Sequence[Sequence[int]], n: int) -> list[int]:
@@ -161,9 +168,10 @@ def _reverse_bumps(
 def rs_word(p_tab: StandardTableau, q_tab: StandardTableau) -> tuple[int, ...]:
     """Invert :func:`rs_pair`: the word whose insertion pair is (p_tab, q_tab)."""
     p_rows, q_rows = p_tab.rows, q_tab.rows
-    if len(p_rows) != len(q_rows) or any(len(p) != len(q) for p, q in zip(p_rows, q_rows)):
+    shape = list(map(len, p_rows))
+    if shape != list(map(len, q_rows)):
         raise ShapeMismatch(f"shapes differ: {p_tab.shape} vs {q_tab.shape}")
-    word = list(_reverse_bumps(*_column_form(p_rows), _row_index(q_rows, q_tab.n)))
+    word = list(_reverse_bumps(*_column_form(p_rows), _row_index(q_rows, sum(shape))))
     word.reverse()
     return tuple(word)
 

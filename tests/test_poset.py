@@ -18,6 +18,7 @@ from orbitposet import (
     change_rule_partners,
     closure,
     codim,
+    delete_pair,
     depth,
     dimension,
     enumerate_tableaux,
@@ -28,6 +29,7 @@ from orbitposet import (
     is_valid,
     leq,
     meet,
+    project,
     rank_matrix,
     sigma_T,
     sigma_o,
@@ -434,14 +436,87 @@ def test_search_matches_the_cell_count_reference(n):
         assert searched == expected, (a, b)
 
 
+def _reference_maximal_below(bound):
+    """Reference filter: every node is tested for saturation, and a kept node
+    is dropped again when a later one lies above it."""
+    n = bound.n
+    masks = rank_matrices._pair_masks(n)
+    guard = rank_matrices._guard(n)
+    cap = bound.packed | guard
+    kept = []
+    for pairs, counts, free in _below_bound(bound):
+        if free & (free - 1):  # two free points or more
+            first, last = (free & -free).bit_length() - 1, free.bit_length() - 1
+            if (cap - counts - masks[first][last]) & guard == guard:
+                continue
+        if any(((top | guard) - counts) & guard == guard for _, top in kept):
+            continue
+        kept = [(p, top) for p, top in kept if ((counts | guard) - top) & guard != guard]
+        kept.append((pairs, counts))
+    return [pairs for pairs, _ in kept]
+
+
+def _reducible_meets(pairs):
+    for a, b in pairs:
+        bound = meet(rank_matrix(a), rank_matrix(b))
+        if not is_valid(bound):
+            yield bound
+
+
+# reducible meets of two maximal orbits of one k, 1 010 in all
+REDUCIBLE_MAXIMAL_MEETS = {5: 1, 6: 6, 7: 36, 8: 170, 9: 797}
+
+
+@pytest.mark.parametrize("n", REDUCIBLE_MAXIMAL_MEETS)
+def test_maximal_below_matches_the_every_node_filter_on_maximal_orbits(n):
+    tops = [(sigma_T(t), sigma_T(s)) for k in range(n // 2 + 1) for t, s in itertools.combinations(enumerate_tableaux(n, k), 2)]
+    searched = 0
+    for bound in _reducible_meets(tops):
+        assert sorted(rank_matrices._maximal_below(bound)) == sorted(_reference_maximal_below(bound)), bound
+        searched += 1
+    assert searched == REDUCIBLE_MAXIMAL_MEETS[n]
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_maximal_below_matches_the_every_node_filter_on_random_pairs(n):
+    draw = random.Random(f"leaf-filter-n{n}")
+    pairs = []
+    for _ in range(30):
+        k = draw.randint(2, n // 2)
+        pairs.append((_random_involution(draw, n, k), _random_involution(draw, n, k)))
+    bounds = list(_reducible_meets(pairs))
+    assert len(bounds) >= 10
+    for bound in bounds:
+        assert sorted(rank_matrices._maximal_below(bound)) == sorted(_reference_maximal_below(bound)), bound
+
+
+def test_a_maximal_search_at_n12_peaks_under_2_mib():
+    # the saturated leaves are held as ints, never as pairs tuples
+    draw = random.Random("leaf-filter-peak")
+    bound = next(_reducible_meets(iter(lambda: (_random_involution(draw, 12, 6), _random_involution(draw, 12, 6)), None)))
+    rank_matrices._pair_masks(12)
+    tracemalloc.start()
+    try:
+        components = rank_matrices._maximal_below(bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert components and all(leq(rank_matrix(Involution(12, c)), bound) for c in components)
+    assert peak < 2 * 2**20, peak
+
+
 def test_search_outputs_equal_validated_involutions():
-    # closure, intersect and recovery skip the constructor's checks; their output must not show it
+    # closure, intersect, recovery, windows, deletions and minimal orbits skip
+    # the constructor's checks; their output must not show it
     draw = random.Random("trusted-outputs")
     outputs = []
     for n in range(1, 8):
+        outputs.extend(sigma_o(n, k) for k in range(n // 2 + 1))
         for e in all_involutions(n):
             outputs.extend(closure(e))
             outputs.append(from_rank_matrix(rank_matrix(e)))
+            outputs.extend(project(e, i, j) for i, j in itertools.combinations(range(1, n + 1), 2))
+            outputs.extend(delete_pair(e, s) for s in range(1, e.length + 1))
         for _ in range(20):
             a, b = draw.choice(all_involutions(n)), draw.choice(all_involutions(n))
             outputs.extend(intersect(a, b).components)

@@ -27,7 +27,7 @@ from orbitposet import (
     rank_matrix,
 )
 from orbitposet.limits import CACHE_SIZE
-from orbitposet.rank_matrices import _involution_of, _pair_masks
+from orbitposet.rank_matrices import _guard, _involution_of, _pair_masks
 
 # the reducible n=5 example: both matrices appear displayed in full
 R_A_ROWS = [
@@ -444,6 +444,24 @@ def test_leq_at_n_1600_builds_no_masks():
     assert _pair_masks.cache_info().currsize == 0
     assert peak < 32 * 2**20, peak
     assert recovered == a
+
+
+def test_leq_at_sixteen_large_ranks_holds_under_12_mb():
+    # each guard is as large as a packed matrix, 2.6 MB at n = 1 600, and the
+    # cache keeps four ranks: sixteen kept 44 MB after the matrices were dropped
+    _guard.cache_clear()
+    rank_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(1600, 1616):
+            assert leq(rank_matrix(Involution.identity(n)), rank_matrix(Involution.identity(n)))
+        rank_matrix.cache_clear()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert _guard.cache_info().currsize == 4
+    assert held < 12 * 2**20, held
 
 
 LAYOUT_NAMES = {"_tri_len", "_offset", "_width", "_guard", "_ones", "_pack", "_unpack", "_MaskRow", "_pair_masks"}

@@ -120,11 +120,14 @@ def test_rs_roundtrip_exhaustive():
 
 
 def test_rs_pair_builds_standard_tableaux():
-    # rs_pair builds its output unchecked; the validating constructor agrees
+    # rs_pair builds its output unchecked; the validating constructor agrees,
+    # and lays the instance out the same way
     for n in range(1, 8):
         for word in itertools.permutations(range(1, n + 1)):
             for tab in rs_pair(word):
-                assert StandardTableau(tab.rows) == tab
+                checked = StandardTableau(tab.rows)
+                assert type(tab) is StandardTableau and vars(tab) == vars(checked)
+                assert checked == tab and hash(checked) == hash(tab)
 
 
 def test_rs_word_matches_the_row_form_reference():
