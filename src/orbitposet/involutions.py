@@ -1,9 +1,13 @@
 """Involutions of the symmetric group as immutable combinatorial values.
 
-An involution is stored as its ambient rank ``n`` plus its disjoint 2-cycles
-in canonical form: each pair ``(i, j)`` has ``i < j`` and pairs are sorted by
-first entry.  Every operation here is a pure function on such values, so they
-can be shared freely between threads.
+An involution is the tuple ``(n, pairs)``: its ambient rank ``n`` plus its
+disjoint 2-cycles in canonical form, where each pair ``(i, j)`` has ``i < j``
+and pairs are sorted by first entry.  Being a tuple, it is built, hashed and
+compared in C, so a closure of thousands of members pays no Python-level
+call per member for them; the dataclass surface (fields, ``asdict``,
+``replace``, frozen attributes, the ``repr``) is kept on top.  Every
+operation here is a pure function on such values, so they can be shared
+freely between threads.
 
 Text format: ``"(1,8)(2,5)(3,4)(6,7)"``, identity written ``"id"``.  Parsing
 ignores whitespace; emission is always canonical with no spaces.
@@ -14,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, TypeVar
 
 from .errors import (
@@ -33,29 +38,39 @@ T = TypeVar("T")
 _PAIR_RE = re.compile(r"\((\d+),(\d+)\)")
 
 
-@dataclass(frozen=True, order=True)
-class Involution:
-    """An involution in canonical form.
+@dataclass(frozen=True, eq=False, init=False)
+class Involution(tuple):
+    """An involution in canonical form: the tuple ``(n, pairs)``.
 
     The strict constructor insists on canonical input; use
     :func:`canonicalize` (or :meth:`parse`) to normalise arbitrary pair
-    lists.  Ordering compares ``(n, pairs)`` lexicographically, which for a
-    fixed ``n`` is the flattened-pair-list order used everywhere for
-    deterministic output.
+    lists.  Hashing, equality and ordering are the tuple's own, so, as for a
+    NamedTuple, ``Involution(n, pairs) == (n, pairs)`` and both hash alike.
+    Ordering compares ``(n, pairs)`` lexicographically, which for a fixed
+    ``n`` is the flattened-pair-list order used everywhere for deterministic
+    output.
+
+    ``__new__`` only builds the tuple; the checks run in ``__init__``.
     """
 
-    n: int
-    pairs: tuple[Pair, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise OutOfRange(f"ambient rank must be >= 1, got {self.n}")
+    # the fields read the tuple's two slots; their "defaults" are the readers
+    n: int = property(itemgetter(0), doc="The ambient rank.")
+    pairs: tuple[Pair, ...] = property(itemgetter(1), doc="The 2-cycles, canonical.")
+
+    def __new__(cls, n: int, pairs: tuple[Pair, ...] = ()) -> Involution:
+        return tuple.__new__(cls, (n, pairs))
+
+    def __init__(self, n: int, pairs: tuple[Pair, ...] = ()) -> None:
+        if n < 1:
+            raise OutOfRange(f"ambient rank must be >= 1, got {n}")
         seen: set[int] = set()
         prev_first = 0
-        for a, b in self.pairs:
+        for a, b in pairs:
             for x in (a, b):
-                if not 1 <= x <= self.n:
-                    raise OutOfRange(f"entry {x} outside 1..{self.n}")
+                if not 1 <= x <= n:
+                    raise OutOfRange(f"entry {x} outside 1..{n}")
                 if x in seen:
                     raise DuplicateEntry(f"entry {x} appears twice")
                 seen.add(x)
@@ -64,6 +79,10 @@ class Involution:
             if a <= prev_first:
                 raise NotCanonical("pairs are not sorted by first entry")
             prev_first = a
+
+    def __getnewargs__(self) -> tuple[int, tuple[Pair, ...]]:
+        # pickle and copy rebuild through __new__(cls, n, pairs), not tuple's one-argument form
+        return tuple(self)
 
     @property
     def length(self) -> int:
@@ -111,16 +130,13 @@ def _unchecked(cls: type[T], **fields: object) -> T:
 
 
 def _trusted(n: int, pairs: tuple[Pair, ...]) -> Involution:
-    """``_unchecked(Involution, n=n, pairs=pairs)`` for canonical pairs, unrolled.
+    """``Involution(n, pairs)`` for canonical pairs, built without its checks.
 
-    The move rules and the searches build one of these per target, and the
-    keyword loop of :func:`_unchecked` makes a call about 0.45 us (half
-    again) slower on Python 3.11.
+    The move rules and the searches build one of these per target.  To build
+    many, ``map(partial(tuple.__new__, Involution), ...)`` over ``(n, pairs)``
+    tuples skips even this call.
     """
-    inv = object.__new__(Involution)
-    object.__setattr__(inv, "n", n)
-    object.__setattr__(inv, "pairs", pairs)
-    return inv
+    return tuple.__new__(Involution, (n, pairs))
 
 
 def canonicalize(pairs: Iterable[tuple[int, int]], n: int) -> Involution:

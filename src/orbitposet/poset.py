@@ -19,6 +19,10 @@ The search and the packed form it counts in live in :mod:`.rank_matrices`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
+from operator import itemgetter
+
 from .errors import BadRank, NotComparable
 from .involutions import Involution, _trusted, all_involutions, dimension, sigma_o
 from .limits import INTERSECT_MAX_N, SINGLE_PASS_MAX_N, check_guard
@@ -71,9 +75,11 @@ def closure(inv: Involution) -> set[Involution]:
     """Everything below ``inv`` in the closure order, ``inv`` included.
 
     Enumerated by :func:`_below_bound` under the rank matrix of ``inv``, so
-    the cost follows the size of the closure.
+    the cost follows the size of the closure.  Each node's pairs become an
+    ``(n, pairs)`` tuple, and so an involution, without a Python-level call.
     """
-    return {_trusted(inv.n, pairs) for pairs, _, _ in _below_bound(rank_matrix(inv))}
+    nodes = _below_bound(rank_matrix(inv))
+    return set(map(partial(tuple.__new__, Involution), zip(repeat(inv.n), map(itemgetter(0), nodes))))
 
 
 def intersect(a: Involution, b: Involution, max_n: int | None = None) -> IntersectionResult:

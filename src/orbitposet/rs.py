@@ -106,8 +106,8 @@ def rs_pair(word: tuple[int, ...] | list[int]) -> tuple[StandardTableau, Standar
 
 
 def _standard(rows: tuple[tuple[int, ...], ...]) -> StandardTableau:
-    """``_unchecked(StandardTableau, rows=rows)`` for standard rows, unrolled
-    as :func:`.involutions._trusted` is: one call per tableau, no keyword loop."""
+    """``_unchecked(StandardTableau, rows=rows)`` for standard rows, unrolled:
+    one call per tableau, no keyword loop."""
     tab = object.__new__(StandardTableau)
     object.__setattr__(tab, "rows", rows)
     return tab

@@ -1,5 +1,8 @@
 """Core involution type and statistics, pinned against worked examples."""
 
+import copy
+import dataclasses
+import pickle
 import random
 from itertools import islice
 
@@ -285,8 +288,7 @@ def test_enumerated_involutions_equal_validated_ones():
     for n in range(1, 8):
         for e in enumerate_involutions(n):
             checked = Involution(n, e.pairs)
-            assert type(e) is Involution
-            assert vars(e) == vars(checked)
+            assert type(e) is Involution and tuple(e) == tuple(checked)
             assert e == checked and hash(e) == hash(checked) and str(e) == str(checked)
 
 
@@ -311,3 +313,108 @@ def test_unchecked_involutions_are_laid_out_like_checked_ones():
             tracemalloc.stop()
         assert len(made) == 1000
     assert sizes[0] == sizes[1]
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class _DataclassInvolution:
+    # the field layout Involution had as a plain frozen dataclass, for its repr and order
+    n: int
+    pairs: tuple = ()
+
+
+def test_involution_is_a_value_like_the_dataclass_it_replaced():
+    everything = [e for n in range(1, 8) for e in all_involutions(n)]
+    for e in everything:
+        old = _DataclassInvolution(e.n, e.pairs)
+        assert hash(e) == hash((e.n, e.pairs)) == hash(old)
+        assert e == (e.n, e.pairs) and tuple(e) == (e.n, e.pairs)
+        assert repr(e) == repr(old).replace("_DataclassInvolution", "Involution", 1)
+    shuffled = random.Random("value-order").sample(everything, len(everything))
+    assert [(e.n, e.pairs) for e in sorted(shuffled)] == [
+        (d.n, d.pairs) for d in sorted(_DataclassInvolution(e.n, e.pairs) for e in shuffled)
+    ]
+    assert Involution(3, ((1, 3),)) < Involution(4) and Involution(4) < Involution(4, ((1, 2),))
+
+
+def test_involution_keeps_the_dataclass_surface():
+    e = Involution(n=5, pairs=((1, 4), (2, 3)))
+    assert e == Involution(5, ((1, 4), (2, 3))) and Involution(n=3) == Involution(3, ())
+    assert dataclasses.is_dataclass(e)
+    # hashing, equality and order stay the tuple's C slots, not generated Python methods
+    assert all(getattr(Involution, name) is getattr(tuple, name) for name in ("__hash__", "__eq__", "__lt__"))
+    assert [f.name for f in dataclasses.fields(Involution)] == ["n", "pairs"]
+    assert dataclasses.asdict(e) == {"n": 5, "pairs": ((1, 4), (2, 3))}
+    moved = dataclasses.replace(e, pairs=((1, 5),))
+    assert type(moved) is Involution and moved == Involution(5, ((1, 5),))
+    with pytest.raises(NotCanonical):  # replace goes through the checks
+        dataclasses.replace(e, pairs=((4, 1),))
+    for name in ("n", "pairs", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(e, name, 1)
+    assert not hasattr(e, "__dict__")
+    for rebuilt in (
+        *(pickle.loads(pickle.dumps(e, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+        copy.copy(e),
+        copy.deepcopy(e),
+    ):
+        assert type(rebuilt) is Involution and rebuilt == e and rebuilt.pairs == e.pairs
+
+
+# the strict-constructor tests above pin the other bad inputs
+@pytest.mark.parametrize("args, error", [
+    ((-2,), OutOfRange),
+    ((4, ((1, 1),)), DuplicateEntry),
+    (("4",), TypeError),
+    ((4, ((1, 2, 3),)), ValueError),
+    ((4, 7), TypeError),
+    ((), TypeError),
+    ((4, (), 1), TypeError),
+])
+def test_bad_involutions_raise_the_error_classes_they_always_raised(args, error):
+    with pytest.raises(error):
+        Involution(*args)
+
+
+def test_asdict_of_results_holding_involutions():
+    # a bare tuple subclass would be rebuilt from a generator by asdict and crash
+    from orbitposet import PosetEdge, intersect
+    from orbitposet.moves import MoveOutcome
+
+    a, b = Involution(6, ((1, 2), (3, 4))), Involution(6, ((1, 3), (4, 5)))
+    result = intersect(a, b)
+    assert dataclasses.asdict(result) == {
+        "meet": dataclasses.asdict(result.meet),
+        "irreducible": False,
+        "components": ({"n": 6, "pairs": ((1, 3), (2, 5))}, {"n": 6, "pairs": ((1, 4), (3, 5))}),
+        "component_dims": (6, 6),
+        "codim": 1,
+        "equidimensional": True,
+    }
+    edge = PosetEdge(Involution(4, ((1, 2),)), Involution(4, ((1, 3),)), "move_right")
+    assert dataclasses.asdict(edge) == {
+        "upper": {"n": 4, "pairs": ((1, 2),)},
+        "lower": {"n": 4, "pairs": ((1, 3),)},
+        "kind": "move_right",
+    }
+    outcome = MoveOutcome("delete", ((1, 3),), Involution(4, ((2, 4),)))
+    assert dataclasses.asdict(outcome) == {
+        "kind": "delete", "source": ((1, 3),), "target": {"n": 4, "pairs": ((2, 4),)},
+    }
+
+
+def test_trusted_involutions_take_under_80_bytes_each():
+    import tracemalloc
+
+    from orbitposet.involutions import _trusted
+
+    pairs = ((1, 4), (2, 3))
+    # warm the allocator first, as in the layout test above
+    assert len([_trusted(5, pairs) for _ in range(1000)]) == 1000
+    tracemalloc.start()
+    try:
+        made = [_trusted(5, pairs) for _ in range(10_000)]
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(made) == 10_000
+    assert size / 10_000 < 80, size / 10_000  # the list's slot included

@@ -522,8 +522,7 @@ def test_search_outputs_equal_validated_involutions():
             outputs.extend(intersect(a, b).components)
     for m in outputs:
         checked = Involution(m.n, m.pairs)
-        assert type(m) is Involution
-        assert vars(m) == vars(checked)
+        assert type(m) is Involution and tuple(m) == tuple(checked)
         assert m == checked and hash(m) == hash(checked) and str(m) == str(checked)
 
 
