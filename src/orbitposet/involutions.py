@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator
 
 from .errors import (
     BadRank,
@@ -33,7 +34,6 @@ from .errors import (
 from .limits import CACHE_SIZE
 
 Pair = tuple[int, int]
-T = TypeVar("T")
 
 _PAIR_RE = re.compile(r"\((\d+),(\d+)\)")
 
@@ -114,29 +114,23 @@ class Involution(tuple):
         return canonicalize(pairs, n)
 
 
-def _unchecked(cls: type[T], **fields: object) -> T:
-    """An instance of the frozen dataclass ``cls`` from fields known to be
-    valid, built without running its checks.
-
-    For the library's own results, which are valid by construction; user
-    input goes through the validating constructor.  The fields are set as
-    the dataclass ``__init__`` sets them, so the instance is laid out, and
-    sized, like a checked one.
-    """
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def _trusted(n: int, pairs: tuple[Pair, ...]) -> Involution:
     """``Involution(n, pairs)`` for canonical pairs, built without its checks.
 
-    The move rules and the searches build one of these per target.  To build
-    many, ``map(partial(tuple.__new__, Involution), ...)`` over ``(n, pairs)``
-    tuples skips even this call.
+    The package's one builder of the involutions it derives; the move rules
+    and the searches build one per target.  To build many at once, use
+    :func:`_trusted_all`.
     """
     return tuple.__new__(Involution, (n, pairs))
+
+
+def _trusted_all(n: int, pair_tuples: Iterable[tuple[Pair, ...]]) -> Iterator[Involution]:
+    """:func:`_trusted` for each canonical pairs tuple, lazily.
+
+    The tuples are built in C, with no Python-level call per involution, so
+    a closure of thousands of members pays for none.
+    """
+    return map(partial(tuple.__new__, Involution), zip(repeat(n), pair_tuples))
 
 
 def canonicalize(pairs: Iterable[tuple[int, int]], n: int) -> Involution:

@@ -19,12 +19,10 @@ The search and the packed form it counts in live in :mod:`.rank_matrices`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
 from operator import itemgetter
 
 from .errors import BadRank, NotComparable
-from .involutions import Involution, _trusted, all_involutions, dimension, sigma_o
+from .involutions import Involution, _trusted_all, all_involutions, dimension, sigma_o
 from .limits import INTERSECT_MAX_N, SINGLE_PASS_MAX_N, check_guard
 from .moves import cover_moves, descendant_moves
 from .rank_matrices import (
@@ -76,10 +74,10 @@ def closure(inv: Involution) -> set[Involution]:
 
     Enumerated by :func:`_below_bound` under the rank matrix of ``inv``, so
     the cost follows the size of the closure.  Each node's pairs become an
-    ``(n, pairs)`` tuple, and so an involution, without a Python-level call.
+    involution through ``involutions._trusted_all``, without a Python-level
+    call per member.
     """
-    nodes = _below_bound(rank_matrix(inv))
-    return set(map(partial(tuple.__new__, Involution), zip(repeat(inv.n), map(itemgetter(0), nodes))))
+    return set(_trusted_all(inv.n, map(itemgetter(0), _below_bound(rank_matrix(inv)))))
 
 
 def intersect(a: Involution, b: Involution, max_n: int | None = None) -> IntersectionResult:
@@ -113,7 +111,7 @@ def intersect(a: Involution, b: Involution, max_n: int | None = None) -> Interse
             components = [component]
         else:
             check_guard(a.n, INTERSECT_MAX_N, max_n)
-            components = sorted(_trusted(a.n, pairs) for pairs in _maximal_below(bound))
+            components = sorted(_maximal_below(bound))
     dims = tuple(dimension(c) for c in components)
     codim_value = min(dimension(a), dimension(b)) - max(dims)
     return IntersectionResult(

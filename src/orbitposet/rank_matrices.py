@@ -36,17 +36,17 @@ recursion, so a node is not passed up through its ancestors' frames.  Its
 state is the pairs, the packed counts and the free points as the bits of
 one int, from which pairs are chosen by bit operations.  Only a child that
 fits is pushed, and each is yielded later, so the stack never holds more
-than the rest of the output.  The nodes come in preorder, so
-``_maximal_below`` reads the leaves off the walk, tests only those for
-saturation, filters the saturated ones as packed ints in descending order
-and reads the few it keeps back with ``_involution_of``.
+than the rest of the output.  Each node comes flagged as a leaf when no
+child fits, so ``_maximal_below`` tests only the leaves for saturation,
+filters the saturated ones as packed ints in descending order and returns
+the few it keeps as the involutions ``_involution_of`` recovers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterator
 
 from .errors import InvalidRankMatrix, OutOfRange, SizeMismatch
@@ -333,17 +333,18 @@ def from_rank_matrix(r: RankMatrix) -> Involution:
     return inv
 
 
-_Node = tuple[tuple[Pair, ...], int, int]  # pairs, packed counts, free points
+_Node = tuple[tuple[Pair, ...], int, int, bool]  # pairs, packed counts, free points, leaf
 
 
 def _below_bound(bound: RankMatrix) -> Iterator[_Node]:
     """Every involution whose rank matrix lies entrywise below ``bound``.
 
     Yields the canonical pairs, the packed rank matrix (for
-    :meth:`RankMatrix._from_packed`) and the free points as the bits of one
-    int.  A depth-first search adds pairs with increasing first entries;
-    adding ``(a, b)`` adds its window mask.  Counts only grow, so a branch is
-    dropped as soon as one window would pass the bound.
+    :meth:`RankMatrix._from_packed`), the free points as the bits of one
+    int, and whether the node is a leaf (no child fits).  A depth-first
+    search adds pairs with increasing first entries; adding ``(a, b)`` adds
+    its window mask.  Counts only grow, so a branch is dropped as soon as
+    one window would pass the bound.
 
     The fit rule: ``(a, b)`` raises the windows ``(i, j)`` with ``i <= a``
     and ``j >= b``, a subset of what ``(a', b')`` raises when ``a <= a'`` and
@@ -356,10 +357,10 @@ def _below_bound(bound: RankMatrix) -> Iterator[_Node]:
 
     The search is one loop over an explicit stack.  An entry is a node and
     its first entries left: the free points past the first entry of its last
-    pair, as bits.  First entries are read off the
-    bits lowest first, second entries highest first.  A popped node is
-    yielded, and its children (every pair that fits) are pushed in reverse,
-    so nodes come off in the preorder of a recursive search.  Every pushed
+    pair, as bits.  First entries are read off the bits lowest first, second
+    entries highest first.  A popped node is yielded once its children
+    (every pair that fits) are found, and they are pushed in reverse, so
+    nodes come off in the preorder of a recursive search.  Every pushed
     child is a node still to be yielded, so the stack never holds more than
     the rest of the output.
     """
@@ -372,7 +373,6 @@ def _below_bound(bound: RankMatrix) -> Iterator[_Node]:
     pop = stack.pop
     while stack:
         pairs, counts, free, firsts = pop()
-        yield pairs, counts, free
         last_bit = 1 << free.bit_length() >> 1  # the largest free point, 0 if none
         lows = firsts & (last_bit - 1)  # first entries below the largest free point
         children = []
@@ -393,49 +393,45 @@ def _below_bound(bound: RankMatrix) -> Iterator[_Node]:
                 seconds ^= b_bit
             if seconds == above:  # the weakest pair at a failed, so every later a fails
                 break
+        yield pairs, counts, free, not children
         children.reverse()
         stack += children
 
 
-def _maximal_below(bound: RankMatrix) -> list[tuple[Pair, ...]]:
-    """The canonical pairs of the maximal involutions below ``bound``.
+def _maximal_below(bound: RankMatrix) -> list[Involution]:
+    """The maximal involutions below ``bound``.
 
     Reads :func:`_below_bound` and keeps only its saturated nodes: those to
     which no free pair can be added within the bound.  Adding a pair raises
     the rank matrix, so an unsaturated node lies strictly below another node
     and is not maximal; and as every node lies below a maximal one, the
     maximal saturated nodes are the maximal nodes.  A saturated node has no
-    child, and the search yields a preorder, where a node's first child comes
-    right after it: so a node is a leaf exactly when the next node has no
-    more pairs than it does, and only leaves are tested.  By the fit rule of
-    :func:`_below_bound`, the pair of the first and the last free point is
-    the weakest free pair, and one fit test on it, read off the free bits
-    the search yields, decides saturation.
+    child, so only the nodes the search flags as leaves are tested.  By the
+    fit rule of :func:`_below_bound`, the pair of the first and the last
+    free point is the weakest free pair, and one fit test on it, read off
+    the free bits the search yields, decides saturation.
 
     The saturated leaves are held as packed ints only and sorted in
     descending order.  Cells never overlap, so entrywise ``<=`` implies
     ``<=`` as integers, and no candidate lies above an earlier one: a
     candidate is kept when it lies below no kept node (the guard-bit test),
-    and the kept list never shrinks.  The few kept matrices are then read
-    back as involutions by :func:`_involution_of`.  The order of the result
-    is not promised.
+    and the kept list never shrinks.  The few kept matrices are returned as
+    the involutions :func:`_involution_of` recovers from them, in no promised
+    order.
     """
     n = bound.n
     masks = _pair_masks(n)
     guard = _guard(n)
     cap = bound.packed | guard
     saturated: list[int] = []
-    depth, counts, free = -1, 0, 0  # the node before, yet to be tested
-    # a root-level sentinel ends the last node, which is always a leaf
-    for pairs, next_counts, next_free in chain(_below_bound(bound), (((), 0, 0),)):
-        if len(pairs) <= depth:  # the node before has no child, so it is a leaf
-            if not free & (free - 1):  # fewer than two free points
-                saturated.append(counts)
-            else:
-                first, last = (free & -free).bit_length() - 1, free.bit_length() - 1
-                if (cap - counts - masks[first][last]) & guard != guard:
-                    saturated.append(counts)
-        depth, counts, free = len(pairs), next_counts, next_free
+    for _, counts, free, leaf in _below_bound(bound):
+        if not leaf:
+            continue
+        if free & (free - 1):  # two free points or more: try the weakest free pair
+            first, last = (free & -free).bit_length() - 1, free.bit_length() - 1
+            if (cap - counts - masks[first][last]) & guard == guard:
+                continue  # it fits, so the leaf is not saturated
+        saturated.append(counts)
     saturated.sort(reverse=True)
     kept: list[int] = []
     for counts in saturated:
@@ -444,4 +440,4 @@ def _maximal_below(bound: RankMatrix) -> list[tuple[Pair, ...]]:
                 break  # below a kept node
         else:
             kept.append(counts)
-    return [_involution_of(RankMatrix._from_packed(n, top)).pairs for top in kept]
+    return [_involution_of(RankMatrix._from_packed(n, top)) for top in kept]

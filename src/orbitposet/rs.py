@@ -3,7 +3,8 @@
 ``rs_pair`` sends a permutation word to its (insertion, recording) pair of
 standard Young tableaux; ``rs_word`` inverts it.  A two-column tableau with
 column lengths ``(n-k, k)`` is itself a standard tableau whose rows are the
-tableau's rows, so the conversion between the two views is direct.
+tableau's rows, so the conversion between the two views is direct, and
+each direction builds its result unchecked.
 Insertion makes both tableaux standard by construction, so ``rs_pair``
 builds them unchecked, with one attribute set per tableau (``_standard``),
 and ``rs_word`` reads the shape of each argument once.
@@ -21,9 +22,9 @@ permutations agree after swapping m and m+1 exactly when they differ in
 two positions holding m and m+1, so the pass stops at the third position
 that differs.  A candidate thus costs the steps up to its third difference
 (a few steps for most candidates), never a whole word, and only the
-returned P is built as a validated tableau.  The bump works on a column
-form: the rows of two or more boxes as lists, and the one-box rows as one
-list, the tail of the first column.  A step pops the tail or a long row and
+returned P is built as a tableau (by ``tableaux._tableau``).  The bump
+works on a column form: the rows of two or more boxes as lists, and the
+one-box rows as one list, the tail of the first column.  A step pops the tail or a long row and
 bisects the long rows above it, so for column shape (n-k, k) it costs O(k)
 where climbing every row costs O(n-k).  A miss at n = 16, k = 2 scans all
 104 candidates in about 0.6-0.9 ms, where climbing every row took 2.8 ms
@@ -40,7 +41,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import NotAPermutation, ShapeMismatch
 from .limits import RS_WITNESS_MAX_CANDIDATES, check_guard
-from .tableaux import TwoColumnTableau, _first_column, _second_columns
+from .tableaux import TwoColumnTableau, _first_column, _second_columns, _tableau
 
 
 @dataclass(frozen=True, order=True)
@@ -106,8 +107,8 @@ def rs_pair(word: tuple[int, ...] | list[int]) -> tuple[StandardTableau, Standar
 
 
 def _standard(rows: tuple[tuple[int, ...], ...]) -> StandardTableau:
-    """``_unchecked(StandardTableau, rows=rows)`` for standard rows, unrolled:
-    one call per tableau, no keyword loop."""
+    """``StandardTableau(rows)`` for standard rows, built without its checks:
+    the one builder of the standard tableaux this package derives."""
     tab = object.__new__(StandardTableau)
     object.__setattr__(tab, "rows", rows)
     return tab
@@ -183,7 +184,7 @@ def _rows_of_columns(col1: tuple[int, ...], col2: tuple[int, ...]) -> tuple[tupl
 
 def standard_from_two_column(tab: TwoColumnTableau) -> StandardTableau:
     """Read a two-column tableau as a standard tableau row by row."""
-    return StandardTableau(_rows_of_columns(tab.col1, tab.col2))
+    return _standard(_rows_of_columns(tab.col1, tab.col2))
 
 
 def two_column_from_standard(tab: StandardTableau) -> TwoColumnTableau:
@@ -192,7 +193,7 @@ def two_column_from_standard(tab: StandardTableau) -> TwoColumnTableau:
         raise ShapeMismatch("tableau has more than two columns")
     col1 = tuple(row[0] for row in tab.rows)
     col2 = tuple(row[1] for row in tab.rows if len(row) == 2)
-    return TwoColumnTableau(col1, col2)
+    return _tableau(col1, col2)
 
 
 def _swap_index(word_a: Iterable[int], word_b: Iterable[int]) -> int | None:
@@ -242,5 +243,5 @@ def find_rs_witness(
             steps[v] = r
         m = _swap_index(_reverse_bumps(t_rows, t_tail, steps), _reverse_bumps(s_rows, s_tail, steps))
         if m is not None:
-            return TwoColumnTableau(_first_column(n, col2), col2), m
+            return _tableau(_first_column(n, col2), col2), m
     return None

@@ -24,7 +24,7 @@ from itertools import filterfalse
 from typing import Iterator
 
 from .errors import BadRank, InvalidTableau, NotInColumn, OutOfRange, ParseError
-from .involutions import Involution, Pair, _unchecked, canonicalize, dimension
+from .involutions import Involution, Pair, _trusted, dimension
 from .moves import ancestors, descendants
 
 
@@ -74,7 +74,7 @@ class ColumnPairArray:
         failure = self._row_failure()
         if failure is not None:
             raise InvalidTableau(failure)
-        return _unchecked(TwoColumnTableau, col1=self.col1, col2=self.col2)
+        return _tableau(self.col1, self.col2)
 
     def __str__(self) -> str:
         first = ",".join(str(x) for x in self.col1)
@@ -112,6 +112,16 @@ class TwoColumnTableau(ColumnPairArray):
         return (len(self.col1), len(self.col2))
 
 
+def _tableau(col1: tuple[int, ...], col2: tuple[int, ...]) -> TwoColumnTableau:
+    """``TwoColumnTableau(col1, col2)`` for columns known to form a tableau,
+    built without its checks: the one builder of the tableaux this package
+    derives, laid out like a checked one."""
+    tab = object.__new__(TwoColumnTableau)
+    object.__setattr__(tab, "col1", col1)
+    object.__setattr__(tab, "col2", col2)
+    return tab
+
+
 def sigma_pairs_by_b(tab: TwoColumnTableau) -> tuple[Pair, ...]:
     """Greedy pairing in second-column order, read as brackets.
 
@@ -134,7 +144,7 @@ def sigma_T(tab: TwoColumnTableau) -> Involution:
     """The maximal-dimension involution attached to the tableau."""
     pairs = sigma_pairs_by_b(tab)
     assert all((b - a) % 2 == 1 for a, b in pairs)  # gaps are always odd
-    return canonicalize(pairs, tab.n)
+    return _trusted(tab.n, tuple(sorted(pairs)))
 
 
 def tableau_of(inv: Involution) -> TwoColumnTableau | None:
@@ -149,7 +159,7 @@ def _tableau_of_maximal(inv: Involution) -> TwoColumnTableau:
     """:func:`tableau_of` for an orbit known to be maximal, built unchecked:
     the second column holds the second entries of its pairs."""
     col2 = tuple(sorted(b for _, b in inv.pairs))
-    return _unchecked(TwoColumnTableau, col1=_first_column(inv.n, col2), col2=col2)
+    return _tableau(_first_column(inv.n, col2), col2)
 
 
 def change(tab: TwoColumnTableau, i: int, j: int) -> ColumnPairArray:
@@ -210,13 +220,8 @@ def change_candidates_high(tab: TwoColumnTableau) -> list[tuple[int, tuple[int, 
 
 def change_rule_partners(tab: TwoColumnTableau) -> set[TwoColumnTableau]:
     """Codimension-one partners from the two exchange rules."""
-    out: set[TwoColumnTableau] = set()
-    for i, b in change_candidates_low(tab):
-        out.add(change(tab, i, b).to_tableau())
-    for a, bs in change_candidates_high(tab):
-        for b in bs:
-            out.add(change(tab, a, b).to_tableau())
-    return out
+    high = [(a, b) for a, bs in change_candidates_high(tab) for b in bs]
+    return {change(tab, i, j).to_tableau() for i, j in change_candidates_low(tab) + high}
 
 
 def codim1_partners(tab: TwoColumnTableau) -> set[TwoColumnTableau]:
@@ -271,4 +276,4 @@ def enumerate_tableaux(n: int, k: int) -> Iterator[TwoColumnTableau]:
         raise OutOfRange(f"ambient rank must be >= 1, got {n}")
     if not 0 <= k <= n // 2:
         raise BadRank(f"k={k} outside 0..{n // 2} for n={n}")
-    return (TwoColumnTableau(_first_column(n, col2), col2) for col2 in _second_columns(n, k))
+    return (_tableau(_first_column(n, col2), col2) for col2 in _second_columns(n, k))

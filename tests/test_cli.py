@@ -318,6 +318,7 @@ def test_malformed_matrices_exit_one(capsys, command, matrix):
     assert one_error_line(err), err
 
 
+@pytest.mark.allocation
 def test_an_out_of_range_cell_is_refused_before_packing(capsys):
     # n = 200, all zeros but one 4 000-digit cell: refused without packing its
     # 19 900 cells at that cell's width

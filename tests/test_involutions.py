@@ -292,6 +292,7 @@ def test_enumerated_involutions_equal_validated_ones():
             assert e == checked and hash(e) == hash(checked) and str(e) == str(checked)
 
 
+@pytest.mark.allocation
 def test_unchecked_involutions_are_laid_out_like_checked_ones():
     import tracemalloc
 
@@ -402,6 +403,7 @@ def test_asdict_of_results_holding_involutions():
     }
 
 
+@pytest.mark.allocation
 def test_trusted_involutions_take_under_80_bytes_each():
     import tracemalloc
 

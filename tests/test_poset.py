@@ -330,6 +330,7 @@ def test_hasse_deterministic():
     assert hasse_dot(4) == hasse_dot(4)
 
 
+@pytest.mark.allocation
 def test_closure_cost_follows_its_output():
     # closure((1,2)) is (1,b) for b = 2..n plus the identity
     for n in (60, 100):
@@ -432,8 +433,21 @@ def test_search_matches_the_cell_count_reference(n):
         expected = list(_reference_below_bound(result.meet))
         assert list(result.components) == _reference_maximal(n, expected), (a, b)
         # same search order, and every packed count unpacks to the reference cells
-        searched = [(p, RankMatrix._from_packed(n, c).cells) for p, c, _ in _below_bound(result.meet)]
+        searched = [(p, RankMatrix._from_packed(n, c).cells) for p, c, _, _ in _below_bound(result.meet)]
         assert searched == expected, (a, b)
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_the_search_flags_exactly_its_leaves(n):
+    # in preorder a node's first child comes right after it, so a node is a
+    # leaf exactly when the next node has no more pairs than it does
+    draw = random.Random(f"leaf-flags-n{n}")
+    for _ in range(20):
+        k = draw.randint(1, n // 2)
+        bound = meet(rank_matrix(_random_involution(draw, n, k)), rank_matrix(_random_involution(draw, n, k)))
+        nodes = list(_below_bound(bound))
+        depths = [len(pairs) for pairs, *_ in nodes] + [0]
+        assert [leaf for *_, leaf in nodes] == [after <= before for before, after in zip(depths, depths[1:])], bound
 
 
 def _reference_maximal_below(bound):
@@ -444,7 +458,7 @@ def _reference_maximal_below(bound):
     guard = rank_matrices._guard(n)
     cap = bound.packed | guard
     kept = []
-    for pairs, counts, free in _below_bound(bound):
+    for pairs, counts, free, _ in _below_bound(bound):
         if free & (free - 1):  # two free points or more
             first, last = (free & -free).bit_length() - 1, free.bit_length() - 1
             if (cap - counts - masks[first][last]) & guard == guard:
@@ -472,7 +486,7 @@ def test_maximal_below_matches_the_every_node_filter_on_maximal_orbits(n):
     tops = [(sigma_T(t), sigma_T(s)) for k in range(n // 2 + 1) for t, s in itertools.combinations(enumerate_tableaux(n, k), 2)]
     searched = 0
     for bound in _reducible_meets(tops):
-        assert sorted(rank_matrices._maximal_below(bound)) == sorted(_reference_maximal_below(bound)), bound
+        assert sorted(m.pairs for m in rank_matrices._maximal_below(bound)) == sorted(_reference_maximal_below(bound)), bound
         searched += 1
     assert searched == REDUCIBLE_MAXIMAL_MEETS[n]
 
@@ -487,9 +501,10 @@ def test_maximal_below_matches_the_every_node_filter_on_random_pairs(n):
     bounds = list(_reducible_meets(pairs))
     assert len(bounds) >= 10
     for bound in bounds:
-        assert sorted(rank_matrices._maximal_below(bound)) == sorted(_reference_maximal_below(bound)), bound
+        assert sorted(m.pairs for m in rank_matrices._maximal_below(bound)) == sorted(_reference_maximal_below(bound)), bound
 
 
+@pytest.mark.allocation
 def test_a_maximal_search_at_n12_peaks_under_2_mib():
     # the saturated leaves are held as ints, never as pairs tuples
     draw = random.Random("leaf-filter-peak")
@@ -501,15 +516,15 @@ def test_a_maximal_search_at_n12_peaks_under_2_mib():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert components and all(leq(rank_matrix(Involution(12, c)), bound) for c in components)
+    assert components and all(leq(rank_matrix(c), bound) for c in components)
     assert peak < 2 * 2**20, peak
 
 
 def test_search_outputs_equal_validated_involutions():
-    # closure, intersect, recovery, windows, deletions and minimal orbits skip
-    # the constructor's checks; their output must not show it
+    # closure, intersect, recovery, windows, deletions, minimal orbits and
+    # sigma_T skip the constructor's checks; their output must not show it
     draw = random.Random("trusted-outputs")
-    outputs = []
+    outputs = [sigma_T(t) for n in range(1, 10) for k in range(n // 2 + 1) for t in enumerate_tableaux(n, k)]
     for n in range(1, 8):
         outputs.extend(sigma_o(n, k) for k in range(n // 2 + 1))
         for e in all_involutions(n):

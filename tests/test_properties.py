@@ -70,7 +70,7 @@ def assert_nodes_are_consistent(bound):
     Returns the number of nodes."""
     n = bound.n
     nodes = 0
-    for pairs, counts, free in _below_bound(bound):
+    for pairs, counts, free, _ in _below_bound(bound):
         inv = Involution(n, pairs)  # raises unless the pairs are canonical within 1..n
         assert inv.pairs == pairs
         assert counts == rank_matrix(inv).packed

@@ -329,6 +329,7 @@ def test_value_caches_stay_within_their_bound():
         cached.cache_clear()
 
 
+@pytest.mark.allocation
 def test_a_cached_rank_matrix_takes_under_a_kilobyte():
     draw = random.Random("matrix-memory")
     invs = [_random_involution(draw, 30, 15) for _ in range(2000)]
@@ -427,6 +428,7 @@ def test_rank_matrix_is_the_mask_sum():
     assert _involution_of(r) == e
 
 
+@pytest.mark.allocation
 def test_leq_at_n_1600_builds_no_masks():
     # O(n^2) bytes: two 2.6 MB matrices, no per-pair masks of up to n^2 cells
     draw = random.Random("leq-memory")
@@ -446,6 +448,7 @@ def test_leq_at_n_1600_builds_no_masks():
     assert recovered == a
 
 
+@pytest.mark.allocation
 def test_leq_at_sixteen_large_ranks_holds_under_12_mb():
     # each guard is as large as a packed matrix, 2.6 MB at n = 1 600, and the
     # cache keeps four ranks: sixteen kept 44 MB after the matrices were dropped

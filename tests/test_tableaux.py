@@ -37,6 +37,7 @@ from orbitposet import (
     tableau_of,
 )
 
+from orbitposet.rs import StandardTableau, find_rs_witness, standard_from_two_column, two_column_from_standard
 from orbitposet.tableaux import _first_column, _second_columns
 
 EXAMPLE = TwoColumnTableau((1, 2, 3, 6), (4, 5, 7, 8))
@@ -146,9 +147,22 @@ def test_change_examples():
 
 
 def test_to_tableau_equals_the_validating_constructor():
-    for n in range(1, 9):
+    # to_tableau, enumerate_tableaux, tableau_of, find_rs_witness's P and both
+    # standard-tableau conversions skip the constructors' checks; their
+    # output must not show it
+    outputs, standards = [], []
+    for n in range(1, 10):
         for k in range(n // 2 + 1):
-            for tab in enumerate_tableaux(n, k):
+            tabs = list(enumerate_tableaux(n, k))
+            outputs += tabs
+            outputs += (tableau_of(sigma_T(tab)) for tab in tabs)
+            converted = list(map(standard_from_two_column, tabs))
+            standards += converted
+            outputs += map(two_column_from_standard, converted)
+            if n <= 6:
+                witnesses = (find_rs_witness(t, s) for t, s in combinations(tabs, 2))
+                outputs += (witness[0] for witness in witnesses if witness is not None)
+            for tab in tabs:
                 for i in tab.col1:
                     for j in tab.col2:
                         arr = change(tab, i, j)
@@ -156,10 +170,15 @@ def test_to_tableau_equals_the_validating_constructor():
                             with pytest.raises(InvalidTableau, match="rows must increase"):
                                 arr.to_tableau()
                             continue
-                        built = arr.to_tableau()
-                        assert type(built) is TwoColumnTableau
-                        assert built == TwoColumnTableau(arr.col1, arr.col2)
-                        assert hash(built) == hash(TwoColumnTableau(arr.col1, arr.col2))
+                        outputs.append(arr.to_tableau())
+    for built in outputs:
+        checked = TwoColumnTableau(built.col1, built.col2)
+        assert type(built) is TwoColumnTableau and vars(built) == vars(checked)
+        assert built == checked and hash(built) == hash(checked)
+    for built in standards:
+        checked = StandardTableau(built.rows)
+        assert type(built) is StandardTableau and vars(built) == vars(checked)
+        assert built == checked and hash(built) == hash(checked)
     with pytest.raises(InvalidTableau, match="first column must be at least as long"):
         ColumnPairArray((1,), (2, 3)).to_tableau()
 
